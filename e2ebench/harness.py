@@ -52,6 +52,13 @@ def require_program() -> None:
 # -- hermetic state ------------------------------------------------------------
 
 
+#: Program state whose default lives under the working directory
+#: (``.repro/runs``, ``.repro/precomp``).  Left unset for every program
+#: call, so a call that ignored its explicit directory would write to the
+#: default, where :class:`StateGuard` looks.
+DEFAULTED_ENV = ("REPRO_RUN_STORE", "REPRO_PRECOMP_DIR")
+
+
 class Workspace:
     """Fresh per-run directories and the environment that points at them.
 
@@ -66,12 +73,16 @@ class Workspace:
         self._count = 0
         self._saved: Dict[str, Optional[str]] = {}
         self.env: Dict[str, str] = {}
+        #: The user's artifact cache, resolved before ``$HOME`` moves.
+        self.user_cache = Path.home() / ".cache" / "repro"
         self.home = self.fresh("home")
+        self.kernels_root = self.fresh("kernels")
         self.set_env("PYTHONPATH", str(SRC))
         self.set_env("HOME", str(self.home))
-        self.set_env("REPRO_CACHE_DIR", str(self.fresh("kernels")))
-        self.set_env("REPRO_RUN_STORE", str(self.fresh("runs-default")))
-        self.set_env("REPRO_PRECOMP_DIR", str(self.fresh("precomp-default")))
+        self.set_env("REPRO_CACHE_DIR", str(self.kernels_root))
+        for name in DEFAULTED_ENV:
+            self._save(name)
+            os.environ.pop(name, None)
 
     def fresh(self, name: str) -> Path:
         """A new empty directory, never handed out before in this run."""
@@ -80,22 +91,31 @@ class Workspace:
         path.mkdir()
         return path
 
+    def _save(self, name: str) -> None:
+        self._saved.setdefault(name, os.environ.get(name))
+
     def set_env(self, name: str, value: str) -> None:
         """Set ``name`` for this process and every child; undone by close."""
-        self._saved.setdefault(name, os.environ.get(name))
+        self._save(name)
         self.env[name] = value
         os.environ[name] = value
 
     def use_precomp_dir(self, path: Path) -> None:
-        """Point the in-process precompute store at ``path``, memo emptied."""
+        """Point the in-process precompute store at ``path``, memo emptied.
+
+        Worker processes forked from here inherit it; program processes
+        started with :func:`run_child` do not.
+        """
         from repro.simgpu.batch import clear_precomp_cache
 
-        self.set_env("REPRO_PRECOMP_DIR", str(path))
+        os.environ["REPRO_PRECOMP_DIR"] = str(path)
         clear_precomp_cache()
 
     def child_env(self) -> Dict[str, str]:
         env = dict(os.environ)
         env.update(self.env)
+        for name in DEFAULTED_ENV:
+            env.pop(name, None)
         return env
 
     def close(self) -> None:
@@ -123,21 +143,38 @@ def _listing(root: Path) -> Dict[str, Tuple[int, int]]:
 
 
 class StateGuard:
-    """Snapshot of the shared program state a run must not touch."""
+    """Snapshot of the shared program state a run must not touch.
+
+    Watched: the checkout's ``.repro/`` and the working directory's (the
+    run-store and precompute defaults), the user's ``~/.cache/repro``
+    (resolved before the workspace moved ``$HOME``) and the sandboxed
+    one, and the kernels-only ``$REPRO_CACHE_DIR``, which is the artifact
+    cache default and must hold nothing but ``kernels/``.
+    """
 
     def __init__(self, workspace: Workspace) -> None:
-        self.repo_state = ROOT / ".repro"
-        self.user_cache = workspace.home / ".cache" / "repro"
-        self.before = _listing(self.repo_state)
+        labels = {
+            ROOT / ".repro": ".repro",
+            Path.cwd() / ".repro": "./.repro",
+            workspace.user_cache: "~/.cache/repro",
+            workspace.home / ".cache" / "repro": "$HOME/.cache/repro",
+        }
+        self.watched: Dict[Path, str] = {}
+        for path, label in labels.items():
+            self.watched.setdefault(path.resolve(), label)
+        self.kernels_root = workspace.kernels_root
+        self.before = {path: _listing(path) for path in self.watched}
 
     def violations(self) -> List[str]:
         found = []
-        after = _listing(self.repo_state)
-        for name in sorted(set(after) | set(self.before)):
-            if after.get(name) != self.before.get(name):
-                found.append(f".repro/{name} created or changed")
-        for name in sorted(_listing(self.user_cache)):
-            found.append(f"~/.cache/repro/{name} created")
+        for path, label in self.watched.items():
+            before, after = self.before[path], _listing(path)
+            for name in sorted(set(after) | set(before)):
+                if after.get(name) != before.get(name):
+                    found.append(f"{label}/{name} created or changed")
+        for name in sorted(_listing(self.kernels_root)):
+            if Path(name).parts[0] != "kernels":
+                found.append(f"$REPRO_CACHE_DIR/{name} created outside kernels/")
         return found
 
 
@@ -252,18 +289,27 @@ def median(values: Sequence[float]) -> float:
     return float(statistics.median(values))
 
 
-def tail_latency(values: Sequence[float]) -> Tuple[float, str]:
-    """p90 (interpolated) and a label saying how many samples lie beyond it.
+#: A tail percentile is reported only with at least this many samples beyond it.
+TAIL_SAMPLES = 10
 
-    With fewer than 100 samples, fewer than ten lie beyond the p90, so
-    the value is a weak tail estimate; the label says so.
+
+def tail_latency(values: Sequence[float]) -> Tuple[float, str]:
+    """The highest percentile up to p90 with ``TAIL_SAMPLES`` samples beyond it.
+
+    With 100 samples or more that is the interpolated p90; with 20 to
+    99 it is the sample that has ten beyond it; with fewer than 20 no
+    percentile above the median has ten samples beyond it, so the median
+    is reported.  The label names the percentile and the sample count.
     """
     n = len(values)
-    if n == 1:
-        return float(values[0]), "p90 of 1 (0 beyond)"
-    p90 = statistics.quantiles(values, n=10, method="inclusive")[-1]
-    beyond = sum(1 for v in values if v > p90)
-    return float(p90), f"p90 of {n} ({beyond} beyond)"
+    ordered = sorted(values)
+    if n >= 10 * TAIL_SAMPLES:
+        value = statistics.quantiles(ordered, n=10, method="inclusive")[-1]
+        return float(value), f"p90 of {n}"
+    if n >= 2 * TAIL_SAMPLES:
+        percentile = 100.0 * (n - TAIL_SAMPLES) / n
+        return float(ordered[n - TAIL_SAMPLES - 1]), f"p{percentile:.0f} of {n}"
+    return median(ordered), f"p50 of {n} (fewer than {2 * TAIL_SAMPLES} samples)"
 
 
 # -- spans ------------------------------------------------------------------

@@ -64,11 +64,11 @@ def _targets() -> List[Tuple[Any, str, str, bool, After]]:
 
     # By module path: ``repro.core`` re-exports functions under some of
     # these module names.
-    (cluster_frame, leader, pipeline, representatives, subsetting, traceio,
+    (cli, cluster_frame, leader, pipeline, representatives, subsetting, traceio,
      artifacts, history, engine, keys, executor, batch) = (
         import_module(f"repro.{name}")
         for name in (
-            "core.cluster_frame", "core.leader", "core.pipeline",
+            "cli", "core.cluster_frame", "core.leader", "core.pipeline",
             "core.representatives", "core.subsetting", "gfx.traceio",
             "obs.artifacts", "obs.history", "runtime.engine", "runtime.keys",
             "service.executor", "simgpu.batch",
@@ -105,6 +105,7 @@ def _targets() -> List[Tuple[Any, str, str, bool, After]]:
         (WorkloadSubset, "materialize", "core.phase", True, None),
         (history, "record_run", "obs.record", True, None),
         (executor, "record_run", "obs.record", True, None),
+        (cli, "record_run", "obs.record", True, None),
         (artifacts, "pipeline_artifact_sections", "obs.record", True, None),
         (artifacts, "sweep_artifact_sections", "obs.record", True, None),
         (ServiceClient, "submit", "service.http.submit", True, None),
@@ -129,13 +130,11 @@ def _wrap(func: Callable, rec: SpanRecorder, layer: str, spanned: bool, after: A
 
 
 @contextmanager
-def traced_layers(rec: SpanRecorder, only: Optional[Sequence[str]] = None) -> Iterator[None]:
-    """Patch every layer entry point (or just the ``only`` layers)."""
+def traced_layers(rec: SpanRecorder) -> Iterator[None]:
+    """Patch every layer entry point."""
     patched = []
     try:
         for owner, attr, layer, spanned, after in _targets():
-            if only is not None and layer not in only:
-                continue
             original = owner.__dict__[attr]
             if isinstance(original, staticmethod):
                 replacement: Any = staticmethod(
@@ -169,6 +168,24 @@ SELF_TIME_METRICS = {
     "core.phase.s": "core.phase",
     "obs.record.s": "obs.record",
     "service.http.submit_s": "service.http.submit",
+}
+
+#: Job kinds of ``service_mixed``: every kind ``repro.service.specs``
+#: accepts, one job of each per trace file.
+SERVICE_JOB_KINDS = ("simulate", "subset", "sweep")
+
+
+def job_kind_metric(kind: str) -> str:
+    return f"service.job.{kind}_p50_s"
+
+
+#: Service metrics of the workloads that run no service.
+NO_SERVICE = {
+    "service.executor.queue_wait_s": 0.0,
+    "service.executor.run_s": 0.0,
+    "service.executor.dedup_ratio": 0.0,
+    "service.events.notify_s": 0.0,
+    **{job_kind_metric(kind): 0.0 for kind in SERVICE_JOB_KINDS},
 }
 
 #: Layers that do the computing an engine call hands out.

@@ -35,7 +35,7 @@ from harness import (
     require_program,
 )
 
-WORKLOADS = ("subset_cli", "sweep_grid", "service_mixed")
+WORKLOADS = ("subset_cli", "service_mixed")
 
 
 def declared_metrics(traced: bool) -> Dict[str, str]:

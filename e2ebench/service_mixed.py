@@ -2,17 +2,23 @@
 
 Why: compute per job is small, so the fixed costs of each job dominate:
 HTTP round-trips, job-store writes, queue wait, event notification,
-trace digesting, artifact-cache reads (where ``sweep_grid`` writes) and
+trace digesting, artifact-cache reads (every spec runs twice) and
 run-record and sidecar writes.
 
 An in-process ``build_server`` (one executor worker, fresh job store,
 artifact cache, run store and precompute store per session) is driven
 by a closed loop of 2 clients.  Each client keeps one job in flight:
 ``ServiceClient.submit``, ``wait`` and ``result``, as ``repro jobs
-submit --wait`` does.  The mix covers ``simulate``, ``subset`` and
-``sweep`` jobs on small trace files written in set-up; every spec is
-submitted twice (two seeded orders, one after the other), so about half
-the jobs are warm-cache reruns or coalesce onto a running twin.
+submit --wait`` does.  Every spec is submitted twice (two seeded orders,
+one after the other, new ones each session), so about half the jobs are
+warm-cache reruns or coalesce onto a running twin.  Sessions repeat,
+each with fresh state, until the measuring budget is spent; the first
+is a warm-up, checked but not timed.
+
+The job mix is an assumption: no job log or measured traffic exists to
+weight it, so every trace file gets one job of each kind the service
+accepts (``simulate``, ``subset``, ``sweep``) with default parameters.
+Latency is also reported per kind, so a reader can reweight.
 """
 
 from __future__ import annotations
@@ -35,20 +41,14 @@ from harness import (
     self_peak_rss_mb,
     tail_latency,
 )
-from layers import layer_metrics, traced_layers
+from layers import SERVICE_JOB_KINDS, job_kind_metric, layer_metrics, traced_layers
 
 GAMES = ("bioshock1_like", "bioshock2_like", "bioshock_infinite_like")
 EXECUTOR_THREAD = "repro-job-worker-0"
-
-#: Per trace file: 5 simulate configs, 3 subset parameter sets, 1 sweep.
-SIMULATE_CONFIGS = (
-    {"preset": "lowpower"},
-    {"preset": "mainstream"},
-    {"preset": "highend"},
-    {"preset": "mainstream", "overrides": {"tex_cache_kb": 256}},
-    {"preset": "mainstream", "overrides": {"num_shader_cores": 12}},
-)
-SUBSET_PARAMS = ({}, {"radius": 0.12}, {"radius": 0.21})
+#: Closed-loop clients, each with one job in flight (the host's ``nproc``).
+CLIENTS = 2
+#: The simulate jobs' configuration.
+PRESET = "mainstream"
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,16 @@ class Size:
     frames: int
     scale: float
     traces_per_game: int
-    clients: int = 2
+    min_sessions: int
 
 
-#: 6 trace files x 9 specs x 2 submissions = 108 jobs.
-FULL = Size(frames=16, scale=0.25, traces_per_game=2)
-#: For the benchmark's own tests: 3 trace files, 54 jobs.
-TINY = Size(frames=16, scale=0.05, traces_per_game=1)
+#: Sessions run before the timed ones (checked, not timed).
+WARMUP = 1
+
+#: 6 trace files x 3 kinds x 2 submissions = 36 jobs a session, >= 3 timed.
+FULL = Size(frames=16, scale=0.25, traces_per_game=2, min_sessions=WARMUP + 3)
+#: For the benchmark's own tests: 3 trace files, 18 jobs a session.
+TINY = Size(frames=16, scale=0.05, traces_per_game=1, min_sessions=WARMUP + 1)
 
 
 @dataclass
@@ -100,20 +103,20 @@ def generate(ctx: Context, size: Size) -> Tuple[List[Path], List[float]]:
 
 
 def job_specs(paths: Sequence[Path]) -> List[Dict[str, Any]]:
+    """One job of each kind per trace file, default parameters."""
     specs: List[Dict[str, Any]] = []
     for path in paths:
-        trace = {"path": str(path)}
-        for config in SIMULATE_CONFIGS:
-            specs.append({"kind": "simulate", "trace": trace, "config": config})
-        for params in SUBSET_PARAMS:
-            specs.append({"kind": "subset", "trace": trace, "params": params})
-        specs.append({"kind": "sweep", "trace": trace})
+        for kind in SERVICE_JOB_KINDS:
+            spec: Dict[str, Any] = {"kind": kind, "trace": {"path": str(path)}}
+            if kind == "simulate":
+                spec["config"] = {"preset": PRESET}
+            specs.append(spec)
     return specs
 
 
-def submission_order(num_specs: int, seed: int) -> List[int]:
-    """Every spec twice: one seeded order, then another."""
-    rng = random.Random(seed)
+def submission_order(num_specs: int, seed: int, session: int = 0) -> List[int]:
+    """Every spec twice: one seeded order, then another; new orders per session."""
+    rng = random.Random(f"{seed}:{session}")
     first, second = list(range(num_specs)), list(range(num_specs))
     rng.shuffle(first)
     rng.shuffle(second)
@@ -121,7 +124,7 @@ def submission_order(num_specs: int, seed: int) -> List[int]:
 
 
 def run_session(
-    ctx: Context, specs: Sequence[Dict[str, Any]], order: Sequence[int], clients: int
+    ctx: Context, specs: Sequence[Dict[str, Any]], order: Sequence[int]
 ) -> Session:
     from repro.service.client import ServiceClient
     from repro.service.http import build_server
@@ -168,7 +171,7 @@ def run_session(
 
     threads = [
         threading.Thread(target=client_loop, name=f"bench-client-{i}")
-        for i in range(clients)
+        for i in range(CLIENTS)
     ]
     start = time.perf_counter()
     try:
@@ -250,10 +253,24 @@ def direct_call(ctx: Context, spec: Dict[str, Any], traces: Dict[str, Any]):
     return expected, draws, len(result.config_names) * (draws + subset_draws)
 
 
+@dataclass
+class Expected:
+    """The direct library call's answer to one spec, and its work counts."""
+
+    fields: Dict[str, Any]
+    parent_draws: int
+    config_draws: int
+
+
+def expected_results(ctx: Context, specs: Sequence[Dict[str, Any]]) -> List[Expected]:
+    traces: Dict[str, Any] = {}
+    return [Expected(*direct_call(ctx, spec, traces)) for spec in specs]
+
+
 def check_session(
-    ctx: Context, session: Session, specs: Sequence[Dict[str, Any]]
-) -> Tuple[int, List[str], Dict[int, Tuple[int, int]]]:
-    """Failed job count, problems, and per-spec (parent, config) draw counts.
+    session: Session, specs: Sequence[Dict[str, Any]], expected: Sequence[Expected]
+) -> Tuple[int, List[str]]:
+    """Failed job count and problems.
 
     A job fails when it did not succeed, when its result differs from
     the other submission of the same spec, or when it differs from the
@@ -262,18 +279,15 @@ def check_session(
     by_spec: Dict[int, List[JobRun]] = {}
     for job in session.jobs:
         by_spec.setdefault(job.spec_index, []).append(job)
-    traces: Dict[str, Any] = {}
-    work: Dict[int, Tuple[int, int]] = {}
     problems: List[str] = []
     failed = 0
     for index, jobs in sorted(by_spec.items()):
-        expected, parent, evaluated = direct_call(ctx, specs[index], traces)
-        work[index] = (parent, evaluated)
+        want = expected[index].fields
         payloads = [_payload(j.result) if j.result is not None else None for j in jobs]
         for job, payload in zip(jobs, payloads):
             if job.error is not None:
                 problems.append(f"spec {index}: {job.error}")
-            elif any(payload.get(k) != v for k, v in expected.items()):
+            elif any(payload.get(k) != v for k, v in want.items()):
                 problems.append(f"spec {index} ({specs[index]['kind']}): result != library call")
             elif payload != payloads[0]:
                 problems.append(f"spec {index}: rerun result != first run")
@@ -283,37 +297,73 @@ def check_session(
     lost = 2 * len(specs) - len(session.jobs)
     if lost:
         problems.append(f"{lost} submissions never completed")
-    return failed + lost, problems, work
+    return failed + lost, problems
+
+
+def kind_latencies(
+    sessions: Sequence[Session], specs: Sequence[Dict[str, Any]]
+) -> Dict[str, List[float]]:
+    """Job latencies per job kind, over every session."""
+    out: Dict[str, List[float]] = {}
+    for session in sessions:
+        for job in session.jobs:
+            out.setdefault(specs[job.spec_index]["kind"], []).append(job.latency_s)
+    return out
 
 
 def run(ctx: Context, traced: bool, size: Size = FULL) -> Outcome:
     paths, gen_times = generate(ctx, size)
     specs = job_specs(paths)
-    order = submission_order(len(specs), ctx.seed)
     if traced:
-        return _run_traced(ctx, specs, order, size)
-    session = run_session(ctx, specs, order, size.clients)
+        return _run_traced(ctx, specs, submission_order(len(specs), ctx.seed), gen_times)
+    sessions: List[Session] = []
+    started = time.perf_counter()
+    while time.perf_counter() - started < ctx.seconds or len(sessions) < size.min_sessions:
+        order = submission_order(len(specs), ctx.seed, len(sessions))
+        sessions.append(run_session(ctx, specs, order))
     peak = self_peak_rss_mb()
-    failed, problems, work = check_session(ctx, session, specs)
-    latencies = [job.latency_s for job in session.jobs]
-    tail, tail_label = tail_latency(latencies)
-    wall = session.wall_s
+    expected = expected_results(ctx, specs)
+    failed, problems = 0, []
+    for session in sessions:
+        session_failed, session_problems = check_session(session, specs, expected)
+        failed += session_failed
+        problems.extend(session_problems)
+    # The first session warms up and is checked but not timed.
+    timed = sessions[WARMUP:]
+    jobs = [job for session in timed for job in session.jobs]
+    tail, tail_label = tail_latency([job.latency_s for job in jobs])
+
+    def per_session(count) -> float:
+        """Median over sessions of ``count(job)`` summed per host second."""
+        return median(
+            [sum(count(j) for j in session.jobs) / session.wall_s for session in timed]
+        )
+
     metrics = {
-        "setup_s": ctx.compile_s + median(gen_times) + session.boot_s,
-        "wall_s": wall,
+        "setup_s": ctx.compile_s + median(gen_times) + median([x.boot_s for x in sessions]),
+        "wall_s": median([session.wall_s for session in timed]),
         "peak_rss_mb": peak,
-        "draws_per_s": sum(work[j.spec_index][0] for j in session.jobs) / wall,
-        "config_draws_per_s": sum(work[j.spec_index][1] for j in session.jobs) / wall,
-        "job_p50_s": median(latencies),
+        "draws_per_s": per_session(lambda j: expected[j.spec_index].parent_draws),
+        "config_draws_per_s": per_session(lambda j: expected[j.spec_index].config_draws),
+        "job_p50_s": median([median([j.latency_s for j in s.jobs]) for s in timed]),
         "job_p90_s": tail,
-        "jobs_per_s": len(session.jobs) / wall,
+        "jobs_per_s": per_session(lambda j: 1),
     }
     return Outcome(
         metrics=metrics,
-        attempted=len(order),
+        attempted=2 * len(specs) * len(sessions),
         failed=failed,
         problems=problems,
-        notes={"jobs": len(order), "specs": len(specs), "job_p90_s": tail_label},
+        notes={
+            "sessions": len(sessions),
+            "timed_jobs": len(jobs),
+            "specs": len(specs),
+            "job_p90_s": tail_label,
+            "job_p50_s_by_kind": {
+                kind: round(median(values), 4)
+                for kind, values in kind_latencies(timed, specs).items()
+            },
+        },
     )
 
 
@@ -325,14 +375,14 @@ def _job_times(session: Session, field_a: str, field_b: str) -> List[float]:
     ]
 
 
-def _run_traced(ctx: Context, specs, order, size: Size) -> Outcome:
+def _run_traced(ctx: Context, specs, order, gen_times: Sequence[float]) -> Outcome:
     import numpy as np
 
-    untraced = run_session(ctx, specs, order, size.clients)
+    untraced = run_session(ctx, specs, order)
     rec = SpanRecorder()
     with traced_layers(rec):
-        session = run_session(ctx, specs, order, size.clients)
-    failed, problems, _ = check_session(ctx, session, specs)
+        session = run_session(ctx, specs, order)
+    failed, problems = check_session(session, specs, expected_results(ctx, specs))
 
     metrics, accounting = layer_metrics(
         rec, session.wall_s, untraced.wall_s, threads=(EXECUTOR_THREAD,)
@@ -356,6 +406,7 @@ def _run_traced(ctx: Context, specs, order, size: Size) -> Outcome:
             results.setdefault(job.spec_index, _payload(job.result))
     subsets = [r for i, r in results.items() if specs[i]["kind"] == "subset"]
     sweeps = [r for i, r in results.items() if specs[i]["kind"] == "sweep"]
+    by_kind = kind_latencies([untraced], specs)
 
     def mean(values: Sequence[float]) -> float:
         return float(np.mean(values)) if values else 0.0
@@ -367,6 +418,9 @@ def _run_traced(ctx: Context, specs, order, size: Size) -> Outcome:
             "service.executor.run_s": median(_job_times(session, "started_unix", "finished_unix")),
             "service.executor.dedup_ratio": deduped / len(order),
             "service.events.notify_s": median([j.notify_s for j in session.jobs]),
+            **{
+                job_kind_metric(kind): median(by_kind[kind]) for kind in SERVICE_JOB_KINDS
+            },
             "simgpu.precomp_store.publish_s": 0.0,
             "simgpu.precomp_store.hits": hits,
             "simgpu.precomp_store.misses": misses,
@@ -393,6 +447,10 @@ def _run_traced(ctx: Context, specs, order, size: Size) -> Outcome:
         attempted=len(order),
         failed=failed,
         problems=problems,
-        notes={"untraced_wall_s": round(untraced.wall_s, 4), "jobs": len(order)},
+        notes={
+            "setup_s": round(ctx.compile_s + median(gen_times) + untraced.boot_s, 4),
+            "untraced_wall_s": round(untraced.wall_s, 4),
+            "jobs": len(order),
+        },
         recorder=rec,
     )

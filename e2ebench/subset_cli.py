@@ -6,9 +6,12 @@ do most of the work; multi-config evaluation does almost none (one
 config), so an evaluator change barely shows here.
 
 Each process gets a fresh artifact cache, precompute store and run
-store, ``--jobs 1``, and is timed from process start to exit.  The
-workload's unit of work (its "job" in the latency metrics) is one pass
-of the three processes.
+store, ``--jobs 1``, and is timed from process start to exit.  Rounds
+of the three processes repeat until the measuring budget is spent; the
+first round is a warm-up, checked but not timed.  A *pass* is one
+process per game; ``wall_s`` is the median pass, the sum of the
+per-game median process times.  A *job* in the latency metrics is one
+process.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import io
 import sys
 import time
+from contextlib import redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -33,22 +37,29 @@ from harness import (
     run_child,
     tail_latency,
 )
-from layers import layer_metrics, traced_layers
+from layers import NO_SERVICE, layer_metrics, traced_layers
 
 GAMES = ("bioshock1_like", "bioshock2_like", "bioshock_infinite_like")
 PRESET = "mainstream"
+#: Each trace is generated this many times and the median time reported.
+SETUP_REPEATS = 2
 
 
 @dataclass(frozen=True)
 class Size:
     frames: int
     scale: float
+    min_rounds: int
 
 
-#: 48 full-scale frames per game: ~36K / ~52K / ~68K draws.
-FULL = Size(frames=48, scale=1.0)
+#: Rounds run before the timed ones (checked, not timed).
+WARMUP = 1
+
+#: 24 full-scale frames per game (~15K / ~22K / ~29K draws), so that a
+#: run holds several rounds of the three processes; at least 2 timed.
+FULL = Size(frames=24, scale=1.0, min_rounds=WARMUP + 2)
 #: For the benchmark's own tests.
-TINY = Size(frames=16, scale=0.1)
+TINY = Size(frames=16, scale=0.1, min_rounds=WARMUP + 1)
 
 
 @dataclass
@@ -74,35 +85,59 @@ def report_lines(text: str) -> List[str]:
 
 
 def generate(ctx: Context, size: Size) -> Tuple[Dict[str, Path], List[float]]:
-    """Write one trace per game with ``repro generate``; returns paths and times."""
+    """Write one trace per game with ``repro generate``; returns paths and times.
+
+    Each trace is written ``SETUP_REPEATS`` times (the same bytes) so
+    that ``setup_s`` is a median over several set-ups.
+    """
     traces_dir = ctx.workspace.fresh("traces")
     paths: Dict[str, Path] = {}
     times: List[float] = []
     for game in GAMES:
         paths[game] = traces_dir / f"{game}.json"
-        times.append(
-            generate_trace(
-                ctx.workspace, paths[game], game, size.frames, ctx.seed, size.scale
+        for _ in range(SETUP_REPEATS):
+            times.append(
+                generate_trace(
+                    ctx.workspace, paths[game], game, size.frames, ctx.seed, size.scale
+                )
             )
-        )
     return paths, times
 
 
-def run_subset_process(ctx: Context, path: Path) -> Tuple[ChildRun, str]:
+@dataclass
+class SubsetCall:
+    """The arguments of one ``repro subset`` call and where its outputs go."""
+
+    args: List[str]
+    def_path: Path
+    cache_dir: Path
+    run_store: Path
+
+    def subset_def(self) -> str:
+        if not self.def_path.is_file():
+            return ""
+        return self.def_path.read_text(encoding="utf-8")
+
+
+def subset_call(ctx: Context, path: Path) -> SubsetCall:
+    """``repro subset`` arguments with a fresh cache, store and run store."""
     ws = ctx.workspace
     def_path = ws.fresh("subset-def") / "subset.json"
-    run = run_child(
-        repro_cli(
-            "subset", path, "--preset", PRESET, "--jobs", 1,
-            "--cache-dir", ws.fresh("cache"),
-            "--precomp-dir", ws.fresh("precomp"),
-            "--run-store", ws.fresh("runs"),
-            "--save-def", def_path,
-        ),
-        ws,
-    )
-    subset_def = def_path.read_text(encoding="utf-8") if def_path.is_file() else ""
-    return run, subset_def
+    cache_dir, run_store = ws.fresh("cache"), ws.fresh("runs")
+    args = [
+        "subset", str(path), "--preset", PRESET, "--jobs", "1",
+        "--cache-dir", str(cache_dir),
+        "--precomp-dir", str(ws.fresh("precomp")),
+        "--run-store", str(run_store),
+        "--save-def", str(def_path),
+    ]
+    return SubsetCall(args, def_path, cache_dir, run_store)
+
+
+def run_subset_process(ctx: Context, path: Path) -> Tuple[ChildRun, str]:
+    call = subset_call(ctx, path)
+    run = run_child(repro_cli(*call.args), ctx.workspace)
+    return run, call.subset_def()
 
 
 def reference(ctx: Context, path: Path) -> Reference:
@@ -125,18 +160,23 @@ def reference(ctx: Context, path: Path) -> Reference:
         subset_def=buffer.getvalue(),
         parent_draws=trace.num_draws,
         rep_draws=sum(p.num_clusters for p in result.frame_predictions),
-        sim=sim_figures(result),
+        sim=summary_figures({f: getattr(result, f) for _, f in SIM_FIELDS}),
     )
 
 
-def sim_figures(result) -> Dict[str, float]:
-    """Simulated accuracy of one ``PipelineResult``, in percent."""
-    return {
-        "sim.e1_error_pct": 100.0 * result.mean_prediction_error,
-        "sim.efficiency_pct": 100.0 * result.mean_efficiency,
-        "sim.subset_time_error_pct": 100.0 * result.subset_time_error,
-        "sim.combined_subset_pct": 100.0 * result.combined_draw_fraction,
-    }
+#: The pipeline's accuracy figures, as named on ``PipelineResult`` and in
+#: the run's fidelity sidecar summary.
+SIM_FIELDS = (
+    ("sim.e1_error_pct", "mean_prediction_error"),
+    ("sim.efficiency_pct", "mean_efficiency"),
+    ("sim.subset_time_error_pct", "subset_time_error"),
+    ("sim.combined_subset_pct", "combined_draw_fraction"),
+)
+
+
+def summary_figures(summary: Dict[str, float]) -> Dict[str, float]:
+    """Simulated accuracy from a fidelity summary, in percent."""
+    return {metric: 100.0 * float(summary[field]) for metric, field in SIM_FIELDS}
 
 
 def mean_figures(figures: List[Dict[str, float]]) -> Dict[str, float]:
@@ -163,51 +203,48 @@ def run(ctx: Context, traced: bool, size: Size = FULL) -> Outcome:
     if traced:
         return _run_traced(ctx, paths, setup_s)
 
-    passes: List[List[Tuple[str, ChildRun, str]]] = []
+    rounds: List[List[Tuple[str, ChildRun, str]]] = []
     started = time.perf_counter()
-    while True:
-        one_pass = []
-        for game in GAMES:
-            one_pass.append((game, *run_subset_process(ctx, paths[game])))
-        passes.append(one_pass)
-        elapsed = time.perf_counter() - started
-        last = sum(r.wall_s for _, r, _ in one_pass)
-        if elapsed + last > ctx.seconds:
-            break
+    while len(rounds) < size.min_rounds or time.perf_counter() - started < ctx.seconds:
+        rounds.append([(game, *run_subset_process(ctx, paths[game])) for game in GAMES])
+    processes = [process for one_round in rounds for process in one_round]
 
     refs = {game: reference(ctx, paths[game]) for game in GAMES}
     problems: List[str] = []
     failed = 0
-    for one_pass in passes:
-        for game, child, subset_def in one_pass:
-            ref = refs[game]
-            found = check_process(game, child, subset_def, ref.report, ref.subset_def)
-            failed += bool(found)
-            problems.extend(found)
+    for game, child, subset_def in processes:
+        ref = refs[game]
+        found = check_process(game, child, subset_def, ref.report, ref.subset_def)
+        failed += bool(found)
+        problems.extend(found)
 
-    pass_walls = [sum(r.wall_s for _, r, _ in p) for p in passes]
-    wall_s = median(pass_walls)
-    tail, tail_label = tail_latency(pass_walls)
+    # The first round warms up and is checked but not timed.
+    timed = [process for one_round in rounds[WARMUP:] for process in one_round]
+    walls = [child.wall_s for _, child, _ in timed]
+    wall_s = sum(
+        median([child.wall_s for g, child, _ in timed if g == game]) for game in GAMES
+    )
+    tail, tail_label = tail_latency(walls)
     parent = sum(refs[g].parent_draws for g in GAMES)
     simulated = sum(refs[g].parent_draws + refs[g].rep_draws for g in GAMES)
     metrics = {
         "setup_s": setup_s,
         "wall_s": wall_s,
-        "peak_rss_mb": max(r.peak_rss_mb for p in passes for _, r, _ in p),
+        "peak_rss_mb": max(child.peak_rss_mb for _, child, _ in processes),
         "draws_per_s": parent / wall_s,
         "config_draws_per_s": simulated / wall_s,
-        "job_p50_s": wall_s,
+        "job_p50_s": median(walls),
         "job_p90_s": tail,
-        "jobs_per_s": len(pass_walls) / sum(pass_walls),
+        "jobs_per_s": len(GAMES) / wall_s,
     }
     return Outcome(
         metrics=metrics,
-        attempted=3 * len(passes),
+        attempted=len(processes),
         failed=failed,
         problems=problems,
         notes={
-            "passes": len(passes),
-            "process_walls_s": [round(r.wall_s, 3) for p in passes for _, r, _ in p],
+            "rounds": len(rounds),
+            "process_walls_s": [round(c.wall_s, 3) for _, c, _ in processes],
             "job_p90_s": tail_label,
             "parent_draws": parent,
             **{
@@ -221,171 +258,27 @@ def run(ctx: Context, traced: bool, size: Size = FULL) -> Outcome:
 # -- traced run -----------------------------------------------------------------
 
 
-def composed_subset(ctx: Context, path: Path, rec: SpanRecorder):
-    """``repro subset`` rebuilt from public pieces, in the pipeline's order.
+def run_subset_in_process(ctx: Context, path: Path) -> Tuple[SubsetCall, int, str]:
+    """The same ``repro subset`` call through ``repro.cli.main`` in this process."""
+    from repro import cli
 
-    Mirrors ``SubsettingPipeline.run`` plus the CLI's output writes, but
-    clusters each frame through ``FeatureExtractor.frame_matrix`` ->
-    ``Normalizer.fit_transform`` -> ``leader_cluster`` ->
-    ``representative_indices`` / ``cluster_sizes`` instead of the fused
-    ``cluster_frame``, so each piece gets its own span.
-    """
-    from repro.core import leader, pipeline, representatives, subsetio
-    from repro.core.cluster_frame import FrameClustering
-    from repro.core.features import FeatureExtractor
-    from repro.core.normalize import Normalizer
-    from repro.core.predict import FramePrediction
-    from repro.gfx import traceio
-    from repro.obs import artifacts, history
-    from repro.runtime import keys
-    from repro.runtime.cache import CACHE_MISS
-    from repro.runtime.engine import Runtime
-    from repro.simgpu.config import GpuConfig
-    import numpy as np
-
-    ws = ctx.workspace
-    started = time.perf_counter()
-    trace = traceio.load_trace(path)
-    config = GpuConfig.preset(PRESET)
-    pipe = pipeline.SubsettingPipeline()
-    ws.use_precomp_dir(ws.fresh("precomp"))
-    cache_dir, run_store = ws.fresh("cache"), ws.fresh("runs")
-    runtime = Runtime(jobs=1, cache_dir=cache_dir)
-
-    ground = runtime.simulate_frames(trace, config, label="ground_truth")
-    params = {
-        "method": pipe.cluster_method, "radius": pipe.radius, "k": pipe.k,
-        "normalize": pipe.normalize, "seed": pipe.seed,
-    }
-    key = keys.task_key("cluster_frames", trace=trace, params=params)
-    if runtime.cache.get(key) is not CACHE_MISS:
-        raise BenchError("a fresh artifact cache returned a hit")
-    extractor = FeatureExtractor(trace)
-    features_by_frame = []
-    clusterings = []
-    for frame in trace.frames:
-        features = extractor.frame_matrix(frame)
-        normalized = Normalizer(pipe.normalize).fit_transform(features)
-        labels = leader.leader_cluster(normalized, pipe.radius).labels
-        clusterings.append(
-            FrameClustering(
-                labels=labels,
-                representatives=representatives.representative_indices(normalized, labels),
-                weights=representatives.cluster_sizes(labels),
-                method=pipe.cluster_method,
-            )
-        )
-        features_by_frame.append(features)
-    runtime.cache.put(key, clusterings)
-
-    rep_trace = pipeline.SubsettingPipeline.representative_trace(trace, clusterings)
-    rep_outputs = runtime.simulate_frames(rep_trace, config, label="representatives")
-
-    with rec.span("core.predict"):
-        predictions, outlier_rates = [], []
-        for frame, clustering, truth, rep_out in zip(
-            trace.frames, clusterings, ground, rep_outputs
-        ):
-            order = np.sort(clustering.representatives)
-            position_of = {int(d): pos for pos, d in enumerate(order)}
-            isolated = pipeline.predict_time_ns(
-                [
-                    float(rep_out.draw_times_ns[position_of[int(r)]])
-                    for r in clustering.representatives
-                ],
-                clustering.weights,
-            )
-            predicted = pipeline.predict_time_ns(
-                pipeline.rep_times_from_draw_times(clustering, truth.draw_times_ns),
-                clustering.weights,
-            )
-            predictions.append(
-                FramePrediction(
-                    frame_index=frame.index,
-                    actual_time_ns=truth.time_ns,
-                    predicted_time_ns=predicted,
-                    num_draws=clustering.num_draws,
-                    num_clusters=clustering.num_clusters,
-                    isolated_time_ns=isolated,
-                )
-            )
-            outlier_rates.append(
-                pipeline.cluster_quality(clustering, truth.draw_times_ns).outlier_rate
-            )
-
-    with rec.span("core.phase"):
-        detection = pipeline.detect_phases(
-            trace,
-            interval_length=pipe.interval_length,
-            mode=pipe.phase_mode,
-            tolerance=pipe.phase_tolerance,
-        )
-        subset = pipeline.build_subset(trace, detection)
-    kept = sum(clusterings[p].num_clusters for p in subset.frame_positions)
-    result = pipeline.PipelineResult(
-        trace_name=trace.name,
-        config_name=config.name,
-        frame_predictions=tuple(predictions),
-        frame_outlier_rates=tuple(outlier_rates),
-        detection=detection,
-        subset=subset,
-        actual_total_time_ns=float(sum(out.time_ns for out in ground)),
-        subset_estimated_total_time_ns=subset.estimate_total_time_ns(
-            [ground[p].time_ns for p in subset.frame_positions]
-        ),
-        combined_draw_fraction=kept / trace.num_draws,
-        clusterings=tuple(clusterings),
-        telemetry=runtime.snapshot(),
-    )
-
-    with rec.span("obs.record"):
-        def_path = ws.fresh("subset-def") / "subset.json"
-        subsetio.save_subset(subset, def_path)
-        history.record_run(
-            "subset",
-            store=run_store,
-            argv=[str(path)],
-            telemetry=runtime.telemetry,
-            seeds={"pipeline": pipe.seed},
-            config_digests={config.name: keys.config_digest(config)},
-            trace_digests={trace.name: keys.trace_digest(trace)},
-            jobs=1,
-            duration_s=time.perf_counter() - started,
-            artifacts=artifacts.pipeline_artifact_sections(result, trace),
-        )
-    return {
-        "result": result,
-        "features": features_by_frame,
-        "subset_def": def_path.read_text(encoding="utf-8"),
-        "runtime": runtime,
-        "cache_dir": cache_dir,
-        "run_store": run_store,
-    }
+    call = subset_call(ctx, path)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(call.args)
+    return call, code, out.getvalue()
 
 
-def fused_mismatches(game: str, composed) -> List[str]:
-    """Frames where the composed pieces disagree with ``cluster_frame``."""
-    import numpy as np
+def recorded_run(call: SubsetCall):
+    """The run record and its fidelity summary the call left in its run store."""
+    from repro.obs.history import RunStore
 
-    from repro.core.cluster_frame import cluster_frame
-    from repro.core.pipeline import SubsettingPipeline
-
-    pipe = SubsettingPipeline()
-    bad = []
-    for index, (features, mine) in enumerate(
-        zip(composed["features"], composed["result"].clusterings)
-    ):
-        fused = cluster_frame(
-            features, method=pipe.cluster_method, radius=pipe.radius,
-            k=pipe.k, normalize=pipe.normalize, seed=pipe.seed,
-        )
-        if not (
-            np.array_equal(fused.labels, mine.labels)
-            and np.array_equal(fused.representatives, mine.representatives)
-            and np.array_equal(fused.weights, mine.weights)
-        ):
-            bad.append(f"{game}: frame {index} composed clustering != cluster_frame")
-    return bad
+    store = RunStore(call.run_store)
+    records = store.records(command="subset")
+    if len(records) != 1:
+        raise BenchError(f"expected one subset run record, found {len(records)}")
+    summary = store.load_artifact_section(records[0], "fidelity")["summary"]
+    return records[0], summary
 
 
 def _run_traced(ctx: Context, paths: Dict[str, Path], setup_s: float) -> Outcome:
@@ -393,7 +286,7 @@ def _run_traced(ctx: Context, paths: Dict[str, Path], setup_s: float) -> Outcome
     untraced_wall = sum(r.wall_s for r, _ in untraced.values())
 
     rec = SpanRecorder()
-    composed = {}
+    traced: Dict[str, Tuple[SubsetCall, int, str]] = {}
     started = time.perf_counter()
     with traced_layers(rec):
         for game in GAMES:
@@ -403,47 +296,45 @@ def _run_traced(ctx: Context, paths: Dict[str, Path], setup_s: float) -> Outcome
                 )
             if imported.returncode != 0:
                 raise BenchError(imported.failure("import repro.cli"))
-            composed[game] = composed_subset(ctx, paths[game], rec)
+            traced[game] = run_subset_in_process(ctx, paths[game])
     wall = time.perf_counter() - started
 
     problems: List[str] = []
     failed = 0
     for game in GAMES:
         child, subset_def = untraced[game]
-        mine = composed[game]
-        found = check_process(
-            game, child, subset_def, report_lines(mine["result"].report()),
-            mine["subset_def"],
-        )
-        found += fused_mismatches(game, mine)
+        call, code, stdout = traced[game]
+        if code != 0:
+            found = [f"{game}: in-process repro subset returned {code}"]
+        else:
+            found = check_process(
+                game, child, subset_def, report_lines(stdout), call.subset_def()
+            )
         failed += bool(found)
         problems.extend(found)
 
     metrics, accounting = layer_metrics(rec, wall, untraced_wall)
     problems.extend(accounting)
-    runtimes = [composed[g]["runtime"] for g in GAMES]
-    snapshots = [r.snapshot() for r in runtimes]
-    hits = sum(r.metrics.counter_total("precomp_store_hits") for r in runtimes)
-    misses = sum(r.metrics.counter_total("precomp_store_misses") for r in runtimes)
-    results = [composed[g]["result"] for g in GAMES]
+    records, summaries = zip(*(recorded_run(traced[g][0]) for g in GAMES))
+
+    def total(counter: str) -> float:
+        return float(sum(r.metrics.get(f"counter:{counter}", 0.0) for r in records))
+
+    hits, misses = total("precomp_store_hits"), total("precomp_store_misses")
+    calls = [traced[g][0] for g in GAMES]
     metrics.update(
         {
             "simgpu.precomp_store.publish_s": sum(
-                s.timers_s.get("precomp_publish", 0.0) for s in snapshots
+                r.stages.get("precomp_publish", 0.0) for r in records
             ),
-            "simgpu.precomp_store.hits": float(hits),
-            "simgpu.precomp_store.misses": float(misses),
+            "simgpu.precomp_store.hits": hits,
+            "simgpu.precomp_store.misses": misses,
             "simgpu.precomp_store.hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
-            "runtime.engine.tasks": float(sum(s.counter("tasks_run") for s in snapshots)),
-            "runtime.cache.bytes_written": float(
-                dir_bytes([composed[g]["cache_dir"] for g in GAMES])
-            ),
-            "obs.record.bytes": float(dir_bytes([composed[g]["run_store"] for g in GAMES])),
-            "service.executor.queue_wait_s": 0.0,
-            "service.executor.run_s": 0.0,
-            "service.executor.dedup_ratio": 0.0,
-            "service.events.notify_s": 0.0,
-            **mean_figures([sim_figures(r) for r in results]),
+            "runtime.engine.tasks": total("tasks_run"),
+            "runtime.cache.bytes_written": float(dir_bytes([c.cache_dir for c in calls])),
+            "obs.record.bytes": float(dir_bytes([c.run_store for c in calls])),
+            **NO_SERVICE,
+            **mean_figures([summary_figures(s) for s in summaries]),
             "sim.ranking_spearman": 0.0,
             "sim.time_pearson": 0.0,
             "error_rate": failed / len(GAMES),

@@ -24,7 +24,6 @@ import layers  # noqa: E402
 import run as bench  # noqa: E402
 import service_mixed  # noqa: E402
 import subset_cli  # noqa: E402
-import sweep_grid  # noqa: E402
 
 NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 UNIT = re.compile(r"^[A-Za-z0-9_/%.-]{1,16}$")
@@ -110,50 +109,71 @@ def test_subset_gate_fires_on_a_subset_from_another_seed(ctx):
     assert check(game, child, ref_b.subset_def, ref_a.report, ref_a.subset_def)
 
 
-def test_sweep_gate_fires_on_a_result_from_another_trace(ctx):
-    from repro import datasets
-    from repro.core.subsetting import build_subset
-
-    cands = sweep_grid.candidates(sweep_grid.TINY)
-    results = []
-    for seed in (1, 2):
-        trace = datasets.load(sweep_grid.GAME, frames=16, seed=seed, scale=0.1)
-        _, result, _, _ = sweep_grid.sweep_once(ctx, trace, build_subset(trace), cands, 1)
-        results.append(result)
-    assert sweep_grid.mismatched_candidates(results[0], results[0]) == []
-    assert sweep_grid.mismatched_candidates(results[0], results[1])
-
-
 def test_service_gate_fires_on_a_perturbed_or_inconsistent_result(ctx):
     paths, _ = service_mixed.generate(ctx, service_mixed.TINY)
-    specs = service_mixed.job_specs(paths[:1])
-    expected, _, _ = service_mixed.direct_call(ctx, specs[0], {})
-    good = {"result": dict(expected)}
-    bad = {"result": {**expected, "total_time_ms": expected["total_time_ms"] * 1.001}}
+    specs = service_mixed.job_specs(paths[:1])[:1]
+    assert specs[0]["kind"] == "simulate"
+    expected = service_mixed.expected_results(ctx, specs)
+    fields = expected[0].fields
+    good = {"result": dict(fields)}
+    bad = {"result": {**fields, "total_time_ms": fields["total_time_ms"] * 1.001}}
 
     def session(*results):
         jobs = [service_mixed.JobRun(0, 0.1, {}, r, 0.0) for r in results]
         return service_mixed.Session(1.0, 0.0, jobs, Path("."), Path("."))
 
-    failed, problems, _ = service_mixed.check_session(ctx, session(good, good), specs[:1])
-    assert failed == 0 and problems == []
-    failed, problems, _ = service_mixed.check_session(ctx, session(good, bad), specs[:1])
+    check = service_mixed.check_session
+    assert check(session(good, good), specs, expected) == (0, [])
+    failed, problems = check(session(good, bad), specs, expected)
     assert failed == 1 and problems
-    rerun = {"result": {**expected, "num_frames": -1}}
-    failed, _, _ = service_mixed.check_session(ctx, session(good, rerun), specs[:1])
-    assert failed == 1
+    rerun = {"result": {**fields, "num_frames": -1}}
+    assert check(session(good, rerun), specs, expected)[0] == 1
 
 
-def test_state_guard_reports_a_new_repo_state_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "ROOT", tmp_path)
-    workspace = types.SimpleNamespace(home=tmp_path / "home")
+def test_state_guard_reports_new_state_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "ROOT", tmp_path / "checkout")
+    monkeypatch.chdir(tmp_path)
+    workspace = types.SimpleNamespace(
+        user_cache=tmp_path / "user" / ".cache" / "repro",
+        home=tmp_path / "home",
+        kernels_root=tmp_path / "kernels",
+    )
+    (workspace.kernels_root / "kernels").mkdir(parents=True)
     guard = harness.StateGuard(workspace)
     assert guard.violations() == []
-    (tmp_path / ".repro" / "precomp").mkdir(parents=True)
-    (tmp_path / ".repro" / "precomp" / "x.fpc").write_bytes(b"x")
-    (workspace.home / ".cache" / "repro").mkdir(parents=True)
-    (workspace.home / ".cache" / "repro" / "k").write_bytes(b"k")
-    assert len(guard.violations()) == 2
+    (workspace.kernels_root / "kernels" / "k.so").write_bytes(b"k")
+    assert guard.violations() == []
+    for path in (
+        harness.ROOT / ".repro" / "precomp" / "x.fpc",
+        tmp_path / ".repro" / "runs" / "r.json",
+        workspace.user_cache / "ab" / "a.pkl",
+        workspace.home / ".cache" / "repro" / "ab" / "b.pkl",
+        workspace.kernels_root / "ab" / "c.pkl",
+    ):
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"x")
+    assert len(guard.violations()) == 5
+
+
+def test_state_guard_fires_when_the_program_falls_back_to_its_defaults(
+    ctx, tmp_path, monkeypatch
+):
+    """A ``repro subset`` without --run-store, --precomp-dir or --cache-dir."""
+    from repro import cli
+    from repro.simgpu.batch import clear_precomp_cache
+
+    trace = tmp_path / "trace.json"
+    harness.generate_trace(ctx.workspace, trace, subset_cli.GAMES[0], 16, 5, 0.1)
+    monkeypatch.chdir(tmp_path)
+    guard = harness.StateGuard(ctx.workspace)
+    try:
+        assert cli.main(["subset", str(trace), "--jobs", "1"]) == 0
+    finally:
+        clear_precomp_cache()
+    found = guard.violations()
+    assert any(v.startswith("./.repro/runs/") for v in found), found
+    assert any(v.startswith("./.repro/precomp/") for v in found), found
+    assert any(v.startswith("$REPRO_CACHE_DIR/") for v in found), found
 
 
 def test_span_self_time_excludes_children():
@@ -168,8 +188,11 @@ def test_span_self_time_excludes_children():
     assert rec.top_level_total() == pytest.approx(rec.total("outer"))
 
 
-def test_tail_latency_is_the_interpolated_p90():
+def test_tail_latency_keeps_ten_samples_beyond():
     value, label = harness.tail_latency([float(i) for i in range(1, 101)])
-    assert value == pytest.approx(90.1) and label == "p90 of 100 (10 beyond)"
-    assert harness.tail_latency([3.0, 1.0, 2.0])[0] == pytest.approx(2.8)
-    assert harness.tail_latency([4.0]) == (4.0, "p90 of 1 (0 beyond)")
+    assert value == pytest.approx(90.1) and label == "p90 of 100"
+    value, label = harness.tail_latency([float(i) for i in range(40, 0, -1)])
+    assert value == 30.0 and label == "p75 of 40"
+    assert sum(1 for i in range(1, 41) if i > value) == 10
+    value, label = harness.tail_latency([3.0, 1.0, 2.0])
+    assert value == 2.0 and label.startswith("p50 of 3")
