@@ -4,7 +4,7 @@
 Two measured layers, written to ``BENCH_precomp.json`` at the repo root:
 
 - **precompute_layer** — the cold single-process frame-precompute pass
-  (``precompute_trace``) with ``REPRO_KERNELS=python`` vs the resolved
+  (``precompute_frame`` over every frame) with ``REPRO_KERNELS=python`` vs the resolved
   compiled backend (numba or the bundled C extension).  Parity is
   asserted bit for bit: every ``FramePrecomp`` array must satisfy
   ``==``, so the reported ``parity_max_rel_err`` is exactly 0.0.
@@ -51,10 +51,7 @@ from repro import datasets  # noqa: E402
 from repro.obs.history import record_run  # noqa: E402
 from repro.runtime.engine import Runtime  # noqa: E402
 from repro.simgpu import _kernels  # noqa: E402
-from repro.simgpu.batch import (  # noqa: E402
-    clear_precomp_cache,
-    precompute_trace,
-)
+from repro.simgpu.batch import clear_precomp_cache, precompute_frame  # noqa: E402
 from repro.simgpu.config import GpuConfig  # noqa: E402
 from repro.simgpu.precomp_store import PRECOMP_DIR_ENV  # noqa: E402
 
@@ -84,15 +81,20 @@ def _array_fields(fp) -> list:
     ]
 
 
+def _precompute_frames(trace) -> list:
+    """Uncached ``FramePrecomp`` of every frame of ``trace``."""
+    return [precompute_frame(trace, frame) for frame in trace.frames]
+
+
 def _precomp_parity(reference, candidate) -> float:
-    """Exact-parity check between two TracePrecomp objects.
+    """Exact-parity check between two per-frame ``FramePrecomp`` lists.
 
     Returns the worst relative error over every array column — the
     fast-path contract makes that exactly 0.0, and the caller asserts
     it; a nonzero return only happens on the way to a raised error.
     """
     worst = 0.0
-    for ref_fp, new_fp in zip(reference.frames, candidate.frames):
+    for ref_fp, new_fp in zip(reference, candidate):
         for name, ref_arr in _array_fields(ref_fp):
             new_arr = getattr(new_fp, name)
             if np.array_equal(ref_arr, new_arr):
@@ -113,7 +115,7 @@ def measure_precompute_layer(trace, reps: int) -> dict:
         for _ in range(reps):
             _use_backend(backend)
             start = time.perf_counter()
-            precompute_trace(trace)
+            _precompute_frames(trace)
             best = min(best, time.perf_counter() - start)
         return best
 
@@ -132,9 +134,9 @@ def measure_precompute_layer(trace, reps: int) -> dict:
 
     compiled_s = cold_best(compiled)
     _use_backend("python")
-    reference = precompute_trace(trace)
+    reference = _precompute_frames(trace)
     _use_backend(compiled)
-    candidate = precompute_trace(trace)
+    candidate = _precompute_frames(trace)
     parity = _precomp_parity(reference, candidate)
     assert parity == 0.0, (
         f"compiled precompute diverged from python reference: {parity}"

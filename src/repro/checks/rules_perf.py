@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     from repro.checks.engine import ModuleContext
 
 #: Whole-trace simulation entry points that a per-config loop multiplies.
-_SIM_CALL_NAMES = frozenset({"simulate_trace", "simulate_trace_batch"})
+_SIM_CALL_NAMES = frozenset({"simulate_trace", "simulate_trace_multi"})
 
 #: Identifier fragments that mark a loop as iterating architecture
 #: points rather than workloads.
@@ -68,21 +68,21 @@ def _sim_calls(body: ast.AST) -> Iterator[ast.Call]:
     severity="warning",
     hint=(
         "evaluate every candidate in one pass with "
-        "repro.simgpu.batch.simulate_trace_multi (or simulate_frame_multi "
-        "against a ConfigTable); a per-config simulate_trace loop redoes "
-        "the trace precompute and the Python dispatch once per config"
+        "repro.simgpu.batch.simulate_trace_multi(trace, configs); a "
+        "per-config simulation loop redoes the Python dispatch and the "
+        "shared context rows once per config"
     ),
 )
 def simulate_trace_per_config_loop(ctx: "ModuleContext") -> Iterator[Finding]:
     """Whole-trace simulation inside a loop over candidate configs.
 
     An architecture sweep that calls ``simulate_trace`` (or
-    ``simulate_trace_batch``) once per config scales its cost with the
-    candidate count even though every per-draw input except the config
-    columns is loop-invariant.  The config-vectorized path evaluates all
-    candidates against one :class:`~repro.simgpu.batch.FramePrecomp` as
-    a single ``(num_configs, num_draws)`` numpy pass with identical
-    results.  A loop counts as "over configs" when its target or
+    ``simulate_trace_multi`` with one config) once per config scales its
+    cost with the candidate count even though every per-draw input
+    except the config columns is loop-invariant.
+    ``simulate_trace_multi(trace, configs)`` evaluates all candidates
+    against one :class:`~repro.simgpu.batch.FramePrecomp` as a single
+    ``(num_configs, num_draws)`` numpy pass with identical results.  A loop counts as "over configs" when its target or
     iterable names configs, clocks, or candidates; deliberate reference
     loops (cross-checking the scalar simulator) carry
     ``# repro: noqa[PERF001]``.

@@ -20,7 +20,7 @@ from repro.core.features import FeatureExtractor
 from repro.core.predict import predict_time_ns, rep_times_from_draw_times
 from repro.errors import ClusteringError
 from repro.gfx.trace import Trace
-from repro.simgpu.batch import precompute_trace, simulate_frames_batch
+from repro.simgpu.batch import simulate_frame_range_multi
 from repro.simgpu.config import GpuConfig
 
 
@@ -108,7 +108,7 @@ def calibrate_radius(
         raise ClusteringError(f"bad radius_bounds {radius_bounds}")
 
     frame_positions = _sample_frames(trace, sample_frames, seed)
-    ground = simulate_frames_batch(trace, config, precompute_trace(trace))
+    (ground,) = simulate_frame_range_multi(trace, [config], 0, trace.num_frames)
     extractor = FeatureExtractor(trace)
 
     history: List[CalibrationPoint] = []

@@ -1,9 +1,11 @@
 """Frame-performance prediction from cluster representatives.
 
 Predicted frame time = sum over clusters of (population x representative
-time).  Representative times come from simulating only the representative
+time).  Representative times are either read out of the full per-draw
+simulation (in-context) or come from simulating only the representative
 draws, in their original submission order — exactly the reduced
-simulation a pathfinding team would run.
+simulation a pathfinding team would run.  The isolated re-simulation
+itself runs in :meth:`repro.core.pipeline.SubsettingPipeline.run`.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ import numpy as np
 
 from repro.core.cluster_frame import FrameClustering
 from repro.errors import ValidationError
-from repro.gfx.frame import Frame
-from repro.gfx.trace import Trace
-from repro.simgpu.config import GpuConfig
-from repro.simgpu.simulator import GpuSimulator
 
 
 @dataclass(frozen=True)
@@ -75,64 +73,6 @@ def predict_time_ns(
     if rep_times.size == 0:
         raise ValidationError("prediction needs at least one representative")
     return float(rep_times @ weight_arr)
-
-
-def representative_draw_order(clustering: FrameClustering) -> np.ndarray:
-    """Representative indices sorted into original submission order.
-
-    Simulating representatives in submission order preserves whatever
-    context effects (state switches, warmth) survive subsetting.
-    """
-    return np.sort(clustering.representatives)
-
-
-def predict_frame(
-    frame: Frame,
-    trace: Trace,
-    clustering: FrameClustering,
-    config: GpuConfig,
-    actual_time_ns: float,
-    draw_times_ns: Optional[Sequence[float]] = None,
-) -> FramePrediction:
-    """Simulate a frame's representatives alone and predict its full time.
-
-    ``actual_time_ns`` is the ground-truth frame time from the full
-    simulation the caller already ran.  When that run's per-draw times
-    are supplied via ``draw_times_ns``, the in-context prediction (the
-    paper's metric) is computed from them; otherwise the isolated
-    re-simulation serves as both predictions.
-    """
-    draws = frame.draw_list
-    if len(draws) != clustering.num_draws:
-        raise ValidationError(
-            f"clustering covers {clustering.num_draws} draws but frame "
-            f"{frame.index} has {len(draws)}"
-        )
-    order = representative_draw_order(clustering)
-    rep_draws = [draws[i] for i in order]
-    costs = GpuSimulator(config).simulate_draws(
-        rep_draws, trace, frame_index=frame.index
-    )
-    time_by_draw_index = {
-        int(draw_index): cost.time_ns for draw_index, cost in zip(order, costs)
-    }
-    isolated_times = [
-        time_by_draw_index[int(rep)] for rep in clustering.representatives
-    ]
-    isolated = predict_time_ns(isolated_times, clustering.weights)
-    if draw_times_ns is not None:
-        in_context_times = rep_times_from_draw_times(clustering, draw_times_ns)
-        predicted = predict_time_ns(in_context_times, clustering.weights)
-    else:
-        predicted = isolated
-    return FramePrediction(
-        frame_index=frame.index,
-        actual_time_ns=actual_time_ns,
-        predicted_time_ns=predicted,
-        num_draws=clustering.num_draws,
-        num_clusters=clustering.num_clusters,
-        isolated_time_ns=isolated,
-    )
 
 
 def rep_times_from_draw_times(

@@ -85,10 +85,10 @@ class WorkloadSubset:
 
     def estimate_on_config(self, parent: Trace, config: GpuConfig) -> float:
         """Simulate only the subset on ``config`` and estimate parent time."""
-        from repro.simgpu.batch import simulate_trace_batch
+        from repro.simgpu.batch import simulate_trace_multi
 
         subset_trace = self.materialize(parent)
-        result = simulate_trace_batch(subset_trace, config)
+        (result,) = simulate_trace_multi(subset_trace, [config])
         return self.estimate_total_time_ns(result.frame_times_ns)
 
 
@@ -131,9 +131,11 @@ class CombinedSubset:
 
     def estimate_on_config(self, config: GpuConfig) -> float:
         """Simulate only the representatives and estimate parent total time."""
-        from repro.simgpu.batch import simulate_frames_batch
+        from repro.simgpu.batch import simulate_frame_range_multi
 
-        outputs = simulate_frames_batch(self.rep_trace, config)
+        (outputs,) = simulate_frame_range_multi(
+            self.rep_trace, [config], 0, self.rep_trace.num_frames
+        )
         total = 0.0
         for output, weights, frame_weight in zip(
             outputs, self.draw_weights, self.frame_weights

@@ -565,7 +565,7 @@ class Runtime:
     def simulate_trace(
         self, trace: Trace, config: GpuConfig, label: str = "simulate"
     ) -> TraceResult:
-        """Cache-aware, parallel equivalent of ``simulate_trace_batch``."""
+        """Cache-aware, parallel equivalent of ``simulate_trace_multi``."""
         from repro.simgpu.batch import trace_result_from_outputs
 
         outputs = self.simulate_frames(trace, config, label=label)

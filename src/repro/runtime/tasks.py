@@ -125,8 +125,9 @@ def _simulate_frame_range(
 
     All configs are evaluated in one task so the order-dependent context
     arrays (texture warmth, switch penalties) are computed once per
-    distinct context signature — the same sharing
-    :class:`repro.simgpu.batch.TracePrecomp` gives a serial DVFS sweep.
+    distinct warm capacity / switch-cost triple — the row sharing
+    :func:`repro.simgpu.batch.simulate_frame_multi` gives a serial DVFS
+    sweep.
 
     ``payload`` optionally carries the phase label (the runtime's stage
     name, e.g. ``ground_truth``); simulated-frame counts are recorded as

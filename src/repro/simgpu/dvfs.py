@@ -14,7 +14,6 @@ from typing import Sequence, Tuple
 from repro.errors import SimulationError
 from repro.gfx.trace import Trace
 from repro.simgpu.config import GpuConfig
-from repro.simgpu.simulator import GpuSimulator
 
 DEFAULT_CLOCKS_MHZ = (600.0, 800.0, 1000.0, 1200.0, 1400.0, 1600.0)
 
@@ -57,16 +56,13 @@ def frequency_sweep(
     trace: Trace,
     base_config: GpuConfig,
     clocks_mhz: Sequence[float] = DEFAULT_CLOCKS_MHZ,
-    use_batch: bool = True,
     domain: str = "core",
 ) -> FrequencySweepResult:
     """Simulate ``trace`` at each clock point and collect total times.
 
     ``domain`` selects which clock is swept: ``"core"`` (the paper's
     experiment) or ``"memory"`` (the complementary sweep, exposing how
-    memory-bound the workload is).  ``use_batch`` routes through the
-    vectorized path (identical numbers, much faster on large traces);
-    pass False to force the sequential reference simulator.
+    memory-bound the workload is).
     """
     if domain not in ("core", "memory"):
         raise SimulationError(f"domain must be 'core' or 'memory', got {domain!r}")
@@ -78,21 +74,12 @@ def frequency_sweep(
         configs = [base_config.with_core_clock(clock) for clock in clocks_mhz]
     else:
         configs = [base_config.with_memory_clock(clock) for clock in clocks_mhz]
-    if use_batch:
-        from repro.simgpu.batch import simulate_trace_multi
+    from repro.simgpu.batch import simulate_trace_multi
 
-        # Config-vectorized: the trace's precompute and context arrays
-        # are shared across every clock point (capacities and switch
-        # costs are clock-independent), so the whole sweep is one pass.
-        results = simulate_trace_multi(trace, configs)
-        times = [result.total_time_ns for result in results]
-    else:
-        # Sequential reference: intentionally simulates per config so
-        # the sweep can be cross-checked against the scalar simulator.
-        times = [
-            GpuSimulator(config).simulate_trace(trace).total_time_ns  # repro: noqa[PERF001]
-            for config in configs
-        ]
+    # Config-vectorized: the trace's precompute and context arrays are
+    # shared across every clock point (capacities and switch costs are
+    # clock-independent), so the whole sweep is one pass.
+    times = [result.total_time_ns for result in simulate_trace_multi(trace, configs)]
     return FrequencySweepResult(
         trace_name=trace.name,
         base_config_name=base_config.name,

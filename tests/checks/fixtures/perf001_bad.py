@@ -1,6 +1,6 @@
 """PERF001 fixture: whole-trace simulation inside per-config loops."""
 
-from repro.simgpu.batch import simulate_trace_batch
+from repro.simgpu.batch import simulate_trace_multi
 from repro.simgpu.simulator import GpuSimulator
 
 
@@ -15,7 +15,7 @@ def clock_sweep(trace, base_config, clocks_mhz):
     times = []
     for clock in clocks_mhz:
         config = base_config.with_core_clock(clock)
-        result = simulate_trace_batch(trace, config)  # expect: PERF001
+        (result,) = simulate_trace_multi(trace, [config])  # expect: PERF001
         times.append(result.total_time_ns)
     return times
 

@@ -26,7 +26,7 @@ def test_perf001_names_the_call():
     assert messages == [
         "simulate_trace() runs once per config in a loop over candidate "
         "configs",
-        "simulate_trace_batch() runs once per config in a loop over "
+        "simulate_trace_multi() runs once per config in a loop over "
         "candidate configs",
     ]
 

@@ -48,7 +48,7 @@ class TestSubsetIO:
         assert back.method == subset.method
 
     def test_loaded_subset_still_estimates(self, game_trace, tmp_path):
-        from repro.simgpu.batch import simulate_trace_batch
+        from repro.simgpu.batch import simulate_trace_multi
         from repro.simgpu.config import GpuConfig
 
         config = GpuConfig.preset("mainstream")
@@ -56,7 +56,7 @@ class TestSubsetIO:
         path = tmp_path / "subset.json"
         save_subset(subset, path)
         back = load_subset(path)
-        actual = simulate_trace_batch(game_trace, config).total_time_ns
+        actual = simulate_trace_multi(game_trace, [config])[0].total_time_ns
         estimate = back.estimate_on_config(game_trace, config)
         assert abs(estimate - actual) / actual < 0.1
 
@@ -193,12 +193,12 @@ class TestIncrementalClusterer:
 
     def test_prediction_quality_reasonable(self, game_trace, matrices):
         from repro.core.predict import predict_time_ns, rep_times_from_draw_times
-        from repro.simgpu.batch import precompute_trace, simulate_frames_batch
+        from repro.simgpu.batch import simulate_frame_range_multi
         from repro.simgpu.config import GpuConfig
 
         config = GpuConfig.preset("mainstream")
-        ground = simulate_frames_batch(
-            game_trace, config, precompute_trace(game_trace)
+        (ground,) = simulate_frame_range_multi(
+            game_trace, [config], 0, game_trace.num_frames
         )
         normalizer = fit_shared_normalizer(matrices)
         clusterer = IncrementalClusterer(radius=0.3, normalizer=normalizer)

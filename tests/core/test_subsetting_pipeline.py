@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import SubsettingPipeline
-from repro.core.predict import (
-    predict_frame,
-    predict_time_ns,
-    rep_times_from_draw_times,
-)
+from repro.core.predict import predict_time_ns, rep_times_from_draw_times
 from repro.core.cluster_frame import cluster_frame
 from repro.core.features import FeatureExtractor
 from repro.core.phasedetect import detect_phases
@@ -41,16 +37,6 @@ class TestPredict:
     def test_predict_time_weighted_sum(self):
         assert predict_time_ns([10.0, 5.0], [3, 2]) == pytest.approx(40.0)
 
-    def test_representative_draw_order_sorted(self, game_trace):
-        from repro.core.predict import representative_draw_order
-
-        frame = game_trace.frames[0]
-        features = FeatureExtractor(game_trace).frame_matrix(frame)
-        clustering = cluster_frame(features)
-        order = representative_draw_order(clustering)
-        assert list(order) == sorted(order)
-        assert set(order) == set(int(r) for r in clustering.representatives)
-
     def test_isolated_error_requires_computation(self):
         from repro.core.predict import FramePrediction
 
@@ -67,25 +53,6 @@ class TestPredict:
     def test_mismatched_weights_rejected(self):
         with pytest.raises(ValidationError):
             predict_time_ns([1.0], [1, 2])
-
-    def test_predict_frame_both_paths(self, game_trace):
-        frame = game_trace.frames[0]
-        features = FeatureExtractor(game_trace).frame_matrix(frame)
-        clustering = cluster_frame(features)
-        ground = GpuSimulator(CFG).simulate_frame(
-            frame, game_trace, keep_draw_costs=True
-        )
-        prediction = predict_frame(
-            frame,
-            game_trace,
-            clustering,
-            CFG,
-            actual_time_ns=ground.time_ns,
-            draw_times_ns=ground.draw_times_ns(),
-        )
-        assert prediction.error < 0.1
-        assert prediction.isolated_error < 0.25
-        assert prediction.efficiency > 0.0
 
     def test_rep_times_lookup(self, game_trace):
         frame = game_trace.frames[0]

@@ -6,7 +6,7 @@ from repro.errors import ValidationError
 from repro.gfx.enums import PassType
 from repro.gfx.transforms import filter_passes, scale_resolution, sort_passes_by_material
 from repro.gfx.validate import validate_trace
-from repro.simgpu.batch import simulate_trace_batch
+from repro.simgpu.batch import simulate_trace_multi
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import TraceGenerator
 from repro.synth.profiles import GameProfile
@@ -56,8 +56,8 @@ class TestScaleResolution:
 
     def test_lower_resolution_is_faster(self, game_trace):
         half = scale_resolution(game_trace, 0.5)
-        t_full = simulate_trace_batch(game_trace, CFG).total_time_ns
-        t_half = simulate_trace_batch(half, CFG).total_time_ns
+        t_full = simulate_trace_multi(game_trace, [CFG])[0].total_time_ns
+        t_half = simulate_trace_multi(half, [CFG])[0].total_time_ns
         assert t_half < t_full
 
     def test_bad_factor_rejected(self, game_trace):
@@ -82,10 +82,11 @@ class TestSortByMaterial:
         # the generator already sorts opaque passes, so the gain here is
         # small but must not be negative (beyond noise).
         quiet = CFG.scaled(noise_amplitude=0.0)
-        t_orig = simulate_trace_batch(game_trace, quiet).total_time_ns
-        t_sorted = simulate_trace_batch(
-            sort_passes_by_material(game_trace), quiet
-        ).total_time_ns
+        t_orig = simulate_trace_multi(game_trace, [quiet])[0].total_time_ns
+        (sorted_result,) = simulate_trace_multi(
+            sort_passes_by_material(game_trace), [quiet]
+        )
+        t_sorted = sorted_result.total_time_ns
         assert t_sorted <= t_orig * 1.001
 
     def test_interleaved_workload_gains(self):
@@ -96,10 +97,11 @@ class TestSortByMaterial:
         interleaved = [d for pair in zip(a, b) for d in pair]
         trace = make_world([interleaved])
         quiet = CFG.scaled(noise_amplitude=0.0)
-        t_orig = simulate_trace_batch(trace, quiet).total_time_ns
-        t_sorted = simulate_trace_batch(
-            sort_passes_by_material(trace), quiet
-        ).total_time_ns
+        t_orig = simulate_trace_multi(trace, [quiet])[0].total_time_ns
+        (sorted_result,) = simulate_trace_multi(
+            sort_passes_by_material(trace), [quiet]
+        )
+        t_sorted = sorted_result.total_time_ns
         assert t_sorted < t_orig
 
 
@@ -117,8 +119,8 @@ class TestFilterPasses:
             game_trace,
             [PassType.FORWARD, PassType.TRANSPARENT, PassType.POST, PassType.UI],
         )
-        t_full = simulate_trace_batch(game_trace, CFG).total_time_ns
-        t_filtered = simulate_trace_batch(filtered, CFG).total_time_ns
+        t_full = simulate_trace_multi(game_trace, [CFG])[0].total_time_ns
+        t_filtered = simulate_trace_multi(filtered, [CFG])[0].total_time_ns
         assert t_filtered < t_full
 
     def test_empty_keep_rejected(self, game_trace):

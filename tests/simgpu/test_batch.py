@@ -14,13 +14,13 @@ from repro.gfx.state import (
     TRANSPARENT_STATE,
 )
 from repro.errors import SimulationError
+from repro.simgpu import batch
 from repro.simgpu.batch import (
+    ConfigTable,
+    _context_matrix,
     clear_precomp_cache,
     frame_precomp_cached,
-    precompute_trace,
     simulate_frame_range_multi,
-    simulate_frames_batch,
-    simulate_trace_batch,
     simulate_trace_multi,
 )
 from repro.simgpu.config import GpuConfig
@@ -71,7 +71,7 @@ config_strategy = st.builds(
 class TestEquivalence:
     def test_matches_sequential_on_fixture(self, simple_trace):
         seq = GpuSimulator(CFG).simulate_trace(simple_trace, keep_draw_costs=True)
-        bat = simulate_trace_batch(simple_trace, CFG)
+        (bat,) = simulate_trace_multi(simple_trace, [CFG])
         assert bat.total_time_ns == pytest.approx(seq.total_time_ns, rel=1e-12)
         for fs, fb in zip(seq.frame_results, bat.frame_results):
             assert fb.time_ns == pytest.approx(fs.time_ns, rel=1e-12)
@@ -84,7 +84,9 @@ class TestEquivalence:
 
     def test_per_draw_times_match(self, simple_trace):
         seq = GpuSimulator(CFG).simulate_trace(simple_trace, keep_draw_costs=True)
-        outputs = simulate_frames_batch(simple_trace, CFG)
+        (outputs,) = simulate_frame_range_multi(
+            simple_trace, [CFG], 0, simple_trace.num_frames
+        )
         for fs, out in zip(seq.frame_results, outputs):
             np.testing.assert_allclose(
                 out.draw_times_ns, np.array(fs.draw_times_ns()), rtol=1e-12
@@ -99,12 +101,12 @@ class TestEquivalence:
         trace = make_world([draws])
         config = GpuConfig.preset(preset)
         seq = GpuSimulator(config).simulate_trace(trace)
-        bat = simulate_trace_batch(trace, config)
+        (bat,) = simulate_trace_multi(trace, [config])
         assert bat.total_time_ns == pytest.approx(seq.total_time_ns, rel=1e-9)
 
 
 class TestMultiConfigParity:
-    """The config-vectorized pass must agree with both earlier paths."""
+    """A C-config pass must equal its C=1 passes and track the oracle."""
 
     def _candidates(self):
         return [
@@ -117,11 +119,11 @@ class TestMultiConfigParity:
 
     def test_matches_single_config_batch_exactly(self, simple_trace):
         # Row i of the (C, N) broadcast is the same arithmetic as the
-        # 1-D pass — bit-identical, not just close.
+        # C=1 pass — bit-identical, not just close.
         configs = self._candidates()
         multi = simulate_trace_multi(simple_trace, configs)
         for config, result in zip(configs, multi):
-            single = simulate_trace_batch(simple_trace, config)
+            (single,) = simulate_trace_multi(simple_trace, [config])
             for fs, fm in zip(single.frame_results, result.frame_results):
                 assert fm.time_ns == fs.time_ns
                 assert fm.core_cycles == fs.core_cycles
@@ -152,17 +154,21 @@ class TestMultiConfigParity:
         configs=st.lists(config_strategy, min_size=1, max_size=4),
     )
     def test_random_traces_and_configs_agree(self, frames, configs):
-        """Sequential, single-config batch, and config-vectorized paths
-        agree per frame on time_ns / core_cycles / dram_cycles."""
+        """Each row of the C-config pass equals the C=1 pass exactly, and
+        both agree with the sequential oracle per frame."""
         trace = make_world(frames)
-        multi = simulate_trace_multi(trace, configs)
-        for config, result in zip(configs, multi):
+        n = trace.num_frames
+        multi = simulate_frame_range_multi(trace, configs, 0, n)
+        for config, rows in zip(configs, multi):
             seq = GpuSimulator(config).simulate_trace(trace)
-            bat = simulate_trace_batch(trace, config)
-            triples = zip(
-                seq.frame_results, bat.frame_results, result.frame_results
-            )
+            (singles,) = simulate_frame_range_multi(trace, [config], 0, n)
+            triples = zip(seq.frame_results, singles, rows)
             for fs, fb, fm in triples:
+                assert fm.time_ns == fb.time_ns
+                assert fm.core_cycles == fb.core_cycles
+                assert fm.dram_cycles == fb.dram_cycles
+                assert fm.pass_times_ns == fb.pass_times_ns
+                assert np.array_equal(fm.draw_times_ns, fb.draw_times_ns)
                 for attr in ("time_ns", "core_cycles", "dram_cycles"):
                     want = getattr(fs, attr)
                     assert getattr(fb, attr) == pytest.approx(want, rel=1e-9)
@@ -174,9 +180,9 @@ class TestMultiConfigParity:
 
     def test_shared_precomp_matches_fresh(self, simple_trace):
         configs = self._candidates()
-        precomp = precompute_trace(simple_trace)
-        shared = simulate_trace_multi(simple_trace, configs, precomp)
+        clear_precomp_cache()
         fresh = simulate_trace_multi(simple_trace, configs)
+        shared = simulate_trace_multi(simple_trace, configs)  # memo hits
         for a, b in zip(shared, fresh):
             assert a.total_time_ns == b.total_time_ns
 
@@ -206,7 +212,7 @@ class TestFramePrecompMemo:
         memoized = simulate_frame_range_multi(
             simple_trace, [CFG], 0, simple_trace.num_frames
         )
-        direct = simulate_trace_batch(simple_trace, CFG)
+        (direct,) = simulate_trace_multi(simple_trace, [CFG])
         for out, warm_out, frame_result in zip(
             memoized[0], warmup[0], direct.frame_results
         ):
@@ -214,23 +220,36 @@ class TestFramePrecompMemo:
             assert out.time_ns == frame_result.time_ns
 
 
-class TestPrecompCache:
-    def test_reuse_across_clocks(self, simple_trace):
-        precomp = precompute_trace(simple_trace)
-        a = simulate_trace_batch(simple_trace, CFG.with_core_clock(800.0), precomp)
-        b = simulate_trace_batch(simple_trace, CFG.with_core_clock(800.0), precomp)
-        assert a.total_time_ns == b.total_time_ns
-        # Cache populated once for the shared capacity/penalty key.
-        assert len(precomp._context_cache) == 1
+class TestContextMatrix:
+    def test_rows_computed_once_per_distinct_value(
+        self, simple_trace, monkeypatch
+    ):
+        calls = {"warm": 0, "switch": 0}
 
-    def test_cache_key_differs_with_capacity(self, simple_trace):
-        precomp = precompute_trace(simple_trace)
-        simulate_trace_batch(simple_trace, CFG, precomp)
-        simulate_trace_batch(simple_trace, CFG.scaled(tex_cache_kb=32), precomp)
-        assert len(precomp._context_cache) == 2
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
 
-    def test_precomp_matches_fresh(self, simple_trace):
-        precomp = precompute_trace(simple_trace)
-        with_pre = simulate_trace_batch(simple_trace, CFG, precomp)
-        without = simulate_trace_batch(simple_trace, CFG)
-        assert with_pre.total_time_ns == pytest.approx(without.total_time_ns)
+            return wrapper
+
+        monkeypatch.setattr(
+            batch, "warm_fractions", counting("warm", batch.warm_fractions)
+        )
+        monkeypatch.setattr(
+            batch, "switch_cycles", counting("switch", batch.switch_cycles)
+        )
+        fp = frame_precomp_cached(simple_trace, simple_trace.frames[0])
+
+        # A DVFS table: clocks differ, capacities and penalties don't.
+        clocks = (600.0, 800.0, 1000.0)
+        dvfs = ConfigTable([CFG.with_core_clock(c) for c in clocks])
+        warm, switch = _context_matrix(fp, dvfs)
+        assert calls == {"warm": 1, "switch": 1}
+        assert warm.shape == switch.shape == (3, fp.num_draws)
+        assert (warm == warm[0]).all() and (switch == switch[0]).all()
+
+        calls.update(warm=0, switch=0)
+        caches = ConfigTable([CFG, CFG.scaled(tex_cache_kb=32), CFG])
+        _context_matrix(fp, caches)
+        assert calls == {"warm": 2, "switch": 1}

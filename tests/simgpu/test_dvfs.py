@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.dvfs import frequency_sweep
+from repro.simgpu.simulator import GpuSimulator
 
 CFG = GpuConfig()
 CLOCKS = (500.0, 1000.0, 2000.0)
@@ -35,10 +36,13 @@ class TestFrequencySweep:
         assert eff[0] >= eff[1] >= eff[2]
 
     def test_batch_and_sequential_agree(self, simple_trace):
-        fast = frequency_sweep(simple_trace, CFG, CLOCKS, use_batch=True)
-        slow = frequency_sweep(simple_trace, CFG, CLOCKS, use_batch=False)
-        for a, b in zip(fast.total_times_ns, slow.total_times_ns):
-            assert a == pytest.approx(b, rel=1e-9)
+        sweep = frequency_sweep(simple_trace, CFG, CLOCKS)
+        oracle = [
+            GpuSimulator(CFG.with_core_clock(clock)).simulate_trace(simple_trace)
+            for clock in CLOCKS
+        ]
+        for fast, slow in zip(sweep.total_times_ns, oracle):
+            assert fast == pytest.approx(slow.total_time_ns, rel=1e-9)
 
     def test_improvements_percent(self, simple_trace):
         sweep = frequency_sweep(simple_trace, CFG, CLOCKS)

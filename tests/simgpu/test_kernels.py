@@ -221,7 +221,7 @@ class TestKernelsMatchSequentialSimulator:
     """The kernel-backed batch path still matches the scalar reference."""
 
     def test_trace_times_identical(self, monkeypatch):
-        from repro.simgpu.batch import simulate_trace_batch
+        from repro.simgpu.batch import simulate_trace_multi
 
         trace = make_world(
             [
@@ -232,6 +232,6 @@ class TestKernelsMatchSequentialSimulator:
         config = GpuConfig()
         reference = GpuSimulator(config).simulate_trace(trace)
         monkeypatch.setenv(_kernels.KERNELS_ENV, "auto")
-        batch = simulate_trace_batch(trace, config)
+        batch = simulate_trace_multi(trace, [config])[0]
         for ref, new in zip(reference.frame_results, batch.frame_results):
             assert new.time_ns == pytest.approx(ref.time_ns, rel=1e-12)

@@ -12,7 +12,7 @@ from repro.core.pipeline import SubsettingPipeline
 from repro.core.subsetting import build_subset
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.simulator import GpuSimulator
-from repro.simgpu.batch import simulate_trace_batch
+from repro.simgpu.batch import simulate_trace_multi
 
 from tests.conftest import make_draw, make_world
 
@@ -70,7 +70,7 @@ class TestDegenerateDraws:
     def test_huge_instance_count(self):
         draw = make_draw(vertex_count=4, instance_count=100000, pixels=1000)
         trace = make_world([[draw]])
-        result = simulate_trace_batch(trace, CFG)
+        result = simulate_trace_multi(trace, [CFG])[0]
         assert np.isfinite(result.total_time_ns)
 
     def test_identical_draws_cluster_to_one(self):
@@ -96,8 +96,8 @@ class TestExtremeConfigs:
         )
         small = make_world([[make_draw(pixels=1000)]])
         large = make_world([[make_draw(pixels=100000)]])
-        t_small = simulate_trace_batch(small, tiny).total_time_ns
-        t_large = simulate_trace_batch(large, tiny).total_time_ns
+        t_small = simulate_trace_multi(small, [tiny])[0].total_time_ns
+        t_large = simulate_trace_multi(large, [tiny])[0].total_time_ns
         assert t_large > t_small
 
     def test_giant_cache_eliminates_capacity_misses(self):
@@ -119,6 +119,6 @@ class TestExtremeConfigs:
         draw = make_draw()
         noisy = dataclasses.replace(draw)
         noisy.metadata["comment"] = "hello"
-        a = simulate_trace_batch(make_world([[draw]]), CFG).total_time_ns
-        b = simulate_trace_batch(make_world([[noisy]]), CFG).total_time_ns
+        a = simulate_trace_multi(make_world([[draw]]), [CFG])[0].total_time_ns
+        b = simulate_trace_multi(make_world([[noisy]]), [CFG])[0].total_time_ns
         assert a == b

@@ -17,7 +17,7 @@ from repro.gfx.state import (
     TRANSPARENT_STATE,
 )
 from repro.gfx.traceio import trace_from_string, trace_to_string
-from repro.simgpu.batch import simulate_trace_batch
+from repro.simgpu.batch import simulate_trace_multi
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.simulator import GpuSimulator
 
@@ -60,7 +60,7 @@ class TestSimulatorInvariants:
     @given(frame_lists)
     def test_times_positive_and_additive(self, draw_lists):
         trace = make_world(draw_lists)
-        result = simulate_trace_batch(trace, CFG)
+        result = simulate_trace_multi(trace, [CFG])[0]
         assert result.total_time_ns > 0
         assert result.total_time_ns == pytest.approx(
             sum(result.frame_times_ns)
@@ -70,8 +70,8 @@ class TestSimulatorInvariants:
     @given(frame_lists, st.floats(min_value=1.1, max_value=4.0))
     def test_higher_clock_never_slower(self, draw_lists, factor):
         trace = make_world(draw_lists)
-        slow = simulate_trace_batch(trace, CFG.with_core_clock(500.0))
-        fast = simulate_trace_batch(trace, CFG.with_core_clock(500.0 * factor))
+        slow = simulate_trace_multi(trace, [CFG.with_core_clock(500.0)])[0]
+        fast = simulate_trace_multi(trace, [CFG.with_core_clock(500.0 * factor)])[0]
         assert fast.total_time_ns <= slow.total_time_ns + 1e-9
 
     @settings(max_examples=15, deadline=None)
@@ -79,8 +79,8 @@ class TestSimulatorInvariants:
     def test_speedup_bounded_by_clock_ratio(self, draw_lists):
         # Scaling only the core clock cannot speed up more than the ratio.
         trace = make_world(draw_lists)
-        t1 = simulate_trace_batch(trace, CFG.with_core_clock(500.0)).total_time_ns
-        t2 = simulate_trace_batch(trace, CFG.with_core_clock(2000.0)).total_time_ns
+        t1 = simulate_trace_multi(trace, [CFG.with_core_clock(500.0)])[0].total_time_ns
+        t2 = simulate_trace_multi(trace, [CFG.with_core_clock(2000.0)])[0].total_time_ns
         assert t1 / t2 <= 4.0 + 1e-9
 
     @settings(max_examples=10, deadline=None)
@@ -89,8 +89,8 @@ class TestSimulatorInvariants:
         shorter = make_world([draws[:-1]])
         longer = make_world([draws])
         quiet = CFG.scaled(noise_amplitude=0.0)
-        t_short = simulate_trace_batch(shorter, quiet).total_time_ns
-        t_long = simulate_trace_batch(longer, quiet).total_time_ns
+        t_short = simulate_trace_multi(shorter, [quiet])[0].total_time_ns
+        t_long = simulate_trace_multi(longer, [quiet])[0].total_time_ns
         assert t_long >= t_short - 1e-9
 
 
