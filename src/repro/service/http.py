@@ -36,8 +36,17 @@ from repro.service.jobs import JobStore
 #: document, so anything bigger is a client error (or abuse).
 MAX_BODY_BYTES = 1 << 20
 
+#: Largest oversized body the server reads and discards before its 413,
+#: so a client still uploading sees the response, not a reset socket.
+#: Bigger bodies are refused unread and the connection is closed.
+_MAX_DRAIN_BYTES = 16 * MAX_BODY_BYTES
+
 #: How often a streaming handler wakes to check for server shutdown.
 _STREAM_POLL_S = 0.5
+
+
+class _BodyTooLarge(Exception):
+    """The request declared a body longer than :data:`MAX_BODY_BYTES`."""
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -58,8 +67,16 @@ class _Handler(BaseHTTPRequestHandler):
         if length <= 0:
             return None
         if length > MAX_BODY_BYTES:
-            return b"__too_large__"
+            raise _BodyTooLarge(length)
         return self.rfile.read(length)
+
+    def _discard_body(self, length: int) -> None:
+        remaining = length if length <= _MAX_DRAIN_BYTES else 0
+        while remaining > 0:
+            chunk = self.rfile.read(min(remaining, 1 << 16))
+            if not chunk:
+                break
+            remaining -= len(chunk)
 
     def _write(self, response: Response) -> None:
         payload = response.body_bytes()
@@ -72,10 +89,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
     def _dispatch(self, method: str) -> None:
-        body = self._read_body()
-        if body == b"__too_large__":
+        try:
+            body = self._read_body()
+        except _BodyTooLarge as exc:
+            self._discard_body(exc.args[0])
+            self.close_connection = True
             self._write(
-                Response(413, {"error": "request body too large"})
+                Response(
+                    413,
+                    {"error": "request body too large"},
+                    headers={"Connection": "close"},
+                )
             )
             return
         self._write(self.server.app.handle(method, self.path, body))

@@ -89,6 +89,19 @@ def test_oversized_body_is_rejected_with_413(server, client):
     assert info.value.code == 413
 
 
+
+def test_body_that_spells_the_old_sentinel_is_not_413(server):
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(
+        f"{server.url}/v1/jobs", data=b"__too_large__", method="POST"
+    )
+    with pytest.raises(urllib.error.HTTPError) as info:
+        urllib.request.urlopen(request, timeout=30.0)
+    assert info.value.code != 413
+    assert 400 <= info.value.code < 500
+
 def test_jobs_cli_against_live_server(server, capsys):
     url = server.url
     rc = main([

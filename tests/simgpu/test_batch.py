@@ -220,6 +220,48 @@ class TestFramePrecompMemo:
             assert out.time_ns == frame_result.time_ns
 
 
+class TestPrecompCache:
+    def test_reuse_across_clocks(self, simple_trace, monkeypatch, tmp_path):
+        # A private, empty store: every frame misses it exactly once.
+        monkeypatch.setenv("REPRO_PRECOMP_DIR", str(tmp_path))
+        calls = {"precompute": 0}
+        real = batch.precompute_frame
+
+        def counting(trace, frame):
+            calls["precompute"] += 1
+            return real(trace, frame)
+
+        monkeypatch.setattr(batch, "precompute_frame", counting)
+        clear_precomp_cache()
+        (a,) = simulate_trace_multi(simple_trace, [CFG.with_core_clock(800.0)])
+        (b,) = simulate_trace_multi(simple_trace, [CFG.with_core_clock(800.0)])
+        simulate_trace_multi(simple_trace, [CFG.with_core_clock(1200.0)])
+        assert a.total_time_ns == b.total_time_ns
+        # Precompute is clock-independent: once per frame, then memo hits.
+        assert calls["precompute"] == simple_trace.num_frames
+
+    def test_cache_key_differs_with_capacity(self, simple_trace, monkeypatch):
+        calls = {"warm": 0}
+        real = batch.warm_fractions
+
+        def counting(fp, capacity_bytes):
+            calls["warm"] += 1
+            return real(fp, capacity_bytes)
+
+        monkeypatch.setattr(batch, "warm_fractions", counting)
+        fp = frame_precomp_cached(simple_trace, simple_trace.frames[0])
+        _context_matrix(fp, ConfigTable([CFG]))
+        assert calls["warm"] == 1
+        _context_matrix(fp, ConfigTable([CFG, CFG.scaled(tex_cache_kb=32)]))
+        assert calls["warm"] == 3
+
+    def test_precomp_matches_fresh(self, simple_trace):
+        clear_precomp_cache()
+        (without,) = simulate_trace_multi(simple_trace, [CFG])
+        (with_pre,) = simulate_trace_multi(simple_trace, [CFG])  # memo hits
+        assert with_pre.total_time_ns == pytest.approx(without.total_time_ns)
+
+
 class TestContextMatrix:
     def test_rows_computed_once_per_distinct_value(
         self, simple_trace, monkeypatch
