@@ -73,7 +73,7 @@ def run_benchmark(frames: int, scale: float, jobs: int) -> dict:
             trace, config, Runtime(jobs=jobs, cache_dir=cache_dir)
         )
         assert warm == reference, "warm-cache run diverged from serial"
-        assert warm_snap.counter("frames_simulated") == 0, (
+        assert warm_snap.counter_total("frames_simulated") == 0, (
             "warm cache still simulated frames"
         )
 
@@ -95,11 +95,11 @@ def run_benchmark(frames: int, scale: float, jobs: int) -> dict:
             "warm_vs_cold": round(cold_s / warm_s, 3),
         },
         "cold_counters": {
-            "frames_simulated": cold_snap.counter("frames_simulated"),
+            "frames_simulated": cold_snap.counter_total("frames_simulated"),
             "cache_misses": cold_snap.counter("cache_misses"),
         },
         "warm_counters": {
-            "frames_simulated": warm_snap.counter("frames_simulated"),
+            "frames_simulated": warm_snap.counter_total("frames_simulated"),
             "cache_hits": warm_snap.counter("cache_hits"),
         },
     }

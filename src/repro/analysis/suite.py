@@ -15,8 +15,9 @@ from repro.analysis.validation import SubsetValidation, validate_subset
 from repro.core.pipeline import PipelineResult, SubsettingPipeline
 from repro.errors import ValidationError
 from repro.gfx.trace import Trace
+from repro.obs.metrics import MetricsSnapshot
+from repro.obs.stages import summary_line
 from repro.runtime.engine import Runtime
-from repro.runtime.telemetry import TelemetrySnapshot
 from repro.simgpu.config import GpuConfig
 from repro.util.tables import format_table
 
@@ -28,7 +29,7 @@ class SuiteResult:
     config_name: str
     game_results: Dict[str, PipelineResult]
     validations: Dict[str, SubsetValidation]
-    telemetry: Optional[TelemetrySnapshot] = field(default=None, compare=False)
+    telemetry: Optional[MetricsSnapshot] = field(default=None, compare=False)
 
     @property
     def total_parent_draws(self) -> int:
@@ -88,7 +89,7 @@ class SuiteResult:
             f"{'yes' if self.all_validations_passed else 'NO'}"
         )
         if self.telemetry is not None:
-            summary = f"{summary}\n{self.telemetry.summary_line()}"
+            summary = f"{summary}\n{summary_line(self.telemetry)}"
         return f"{table}\n{summary}"
 
 

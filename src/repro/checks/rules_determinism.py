@@ -131,7 +131,7 @@ def wall_clock_read(ctx: "ModuleContext") -> Iterator[Finding]:
     ``time.time()`` differs between the run that populated the cache
     and the run that reads it; any value derived from it breaks the
     serial == parallel == cached contract.  Only the observability
-    layer (span anchors, manifests, log records) may read the clock —
+    layer (span anchors, run records, log records) may read the clock —
     those paths are allowlisted.  ``time.perf_counter`` is fine
     anywhere: it measures durations for telemetry and never feeds
     results.

@@ -19,6 +19,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -35,16 +36,17 @@ from repro.gfx.traceio import load_trace_auto as load_trace
 from repro.gfx.traceio import save_trace_auto as save_trace
 from repro.obs import (
     JsonLogger,
+    Metrics,
     NullLogger,
     ProgressReporter,
-    RunManifest,
     Tracer,
+    stage_seconds,
+    summary_line,
     write_chrome_trace,
     write_spans_jsonl,
 )
-from repro.obs.history import record_run
+from repro.obs.history import collect_record, record_run
 from repro.runtime.engine import Runtime
-from repro.runtime.telemetry import Telemetry
 from repro.simgpu._kernels import KERNEL_BACKENDS, set_backend
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.precomp_store import set_precomp_dir
@@ -168,8 +170,9 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="FILE",
         help=(
-            "write a run manifest (config/trace digests, seeds, CLI args, "
-            "package version, host, final metrics) as JSON"
+            "write this run's record (config/trace digests, seeds, CLI "
+            "args, environment, final metrics, stage rollups) as JSON; "
+            "the same record the run store appends"
         ),
     )
     obs.add_argument(
@@ -203,20 +206,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _runtime_from_args(
-    args, telemetry: Optional[Telemetry] = None, progress=None
-) -> Runtime:
-    if args.no_cache:
-        return Runtime(jobs=args.jobs, telemetry=telemetry, progress=progress)
-    from repro.runtime.cache import default_cache_dir
-
-    cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
-    return Runtime(
-        jobs=args.jobs, cache_dir=cache_dir, telemetry=telemetry,
-        progress=progress,
-    )
-
-
 class _ObsSession:
     """Per-command observability bundle: runtime, root span, outputs.
 
@@ -244,14 +233,20 @@ class _ObsSession:
         elif getattr(args, "precomp_dir", None):
             set_precomp_dir(args.precomp_dir)
         tracer = Tracer() if getattr(args, "trace_out", None) else None
-        self.telemetry = Telemetry(tracer=tracer)
+        metrics = Metrics()
         progress = (
-            ProgressReporter(metrics=self.telemetry.metrics)
+            ProgressReporter(metrics=metrics)
             if getattr(args, "progress", False)
             else None
         )
-        self.runtime = _runtime_from_args(
-            args, telemetry=self.telemetry, progress=progress
+        cache_dir = None
+        if not args.no_cache:
+            from repro.runtime.cache import default_cache_dir
+
+            cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
+        self.runtime = Runtime(
+            jobs=args.jobs, cache_dir=cache_dir, metrics=metrics,
+            tracer=tracer, progress=progress,
         )
         self.seeds: dict = {}
         self.configs: dict = {}
@@ -260,7 +255,7 @@ class _ObsSession:
         # command body; record_run writes them next to the run record.
         self.artifacts: dict = {}
         self._started = time.perf_counter()
-        self._root_span = self.telemetry.tracer.span(
+        self._root_span = self.runtime.tracer.span(
             f"cli:{command}", category="cli"
         )
         self._root_span.__enter__()
@@ -287,54 +282,52 @@ class _ObsSession:
                 json.dump(runtime.metrics.snapshot().as_dict(), stream, indent=2)
                 stream.write("\n")
             print(f"metrics written to {metrics_out}")
-        manifest_out = getattr(args, "manifest_out", None)
-        if manifest_out:
-            manifest = RunManifest.collect(
-                command=self.command,
-                argv=sys.argv[1:],
-                seeds=self.seeds,
-                configs=self.configs,
-                traces=self.traces,
-                jobs=runtime.jobs,
-                cache_dir=getattr(args, "cache_dir", None),
-                duration_s=duration_s,
-                metrics=runtime.metrics.snapshot(),
-            )
-            manifest.write(manifest_out)
-            print(f"run manifest written to {manifest_out}")
-        if not getattr(args, "no_run_store", False):
-            from repro.runtime.keys import config_digest, trace_digest
+        from repro.runtime.keys import config_digest, trace_digest
 
+        snapshot = runtime.snapshot()
+        record_fields = dict(
+            argv=sys.argv[1:],
+            snapshot=snapshot,
+            seeds=self.seeds,
+            config_digests={
+                name: config_digest(config)
+                for name, config in self.configs.items()
+            },
+            trace_digests={
+                name: trace_digest(trace) for name, trace in self.traces.items()
+            },
+            jobs=runtime.jobs,
+            duration_s=duration_s,
+        )
+        record_path = None
+        if not getattr(args, "no_run_store", False):
             record_path = record_run(
                 self.command,
                 store=getattr(args, "run_store", None),
-                argv=sys.argv[1:],
-                telemetry=self.telemetry,
-                seeds=self.seeds,
-                config_digests={
-                    name: config_digest(config)
-                    for name, config in self.configs.items()
-                },
-                trace_digests={
-                    name: trace_digest(trace)
-                    for name, trace in self.traces.items()
-                },
-                jobs=runtime.jobs,
-                duration_s=duration_s,
                 artifacts=self.artifacts or None,
+                **record_fields,
             )
             if record_path is not None:
                 self.logger.log("run_recorded", path=str(record_path))
-        snapshot = runtime.snapshot()
+        manifest_out = getattr(args, "manifest_out", None)
+        if manifest_out:
+            # The stored record's bytes when the store took one, else a
+            # record collected from the same inputs.
+            if record_path is not None:
+                shutil.copyfile(record_path, manifest_out)
+            else:
+                record = collect_record(self.command, **record_fields)
+                Path(manifest_out).write_text(record.to_json(), encoding="utf-8")
+            print(f"run record written to {manifest_out}")
         self.logger.log(
             "run_end",
             command=self.command,
             duration_s=round(duration_s, 6),
-            tasks_run=snapshot.counter("tasks_run"),
-            frames_simulated=snapshot.counter("frames_simulated"),
-            cache_hits=snapshot.counter("cache_hits"),
-            cache_misses=snapshot.counter("cache_misses"),
-            stage_time_s=round(snapshot.stage_time_s, 6),
+            tasks_run=snapshot.counter_total("tasks_run"),
+            frames_simulated=snapshot.counter_total("frames_simulated"),
+            cache_hits=snapshot.counter_total("cache_hits"),
+            cache_misses=snapshot.counter_total("cache_misses"),
+            stage_time_s=round(sum(stage_seconds(snapshot)[1].values()), 6),
         )
 
 
@@ -880,7 +873,7 @@ def _cmd_simulate(args) -> int:
         f"{trace.name} on {config.name}: total {result.total_time_ms:.2f} ms, "
         f"mean {result.mean_fps:.1f} fps over {trace.num_frames} frames"
     )
-    print(runtime.snapshot().summary_line())
+    print(summary_line(runtime.snapshot()))
     session.finish()
     return 0
 
@@ -945,7 +938,7 @@ def _cmd_estimate(args) -> int:
         f"({100 * error:.2f}% error, {subset.num_frames}/{trace.num_frames} "
         "frames simulated)"
     )
-    print(runtime.snapshot().summary_line())
+    print(summary_line(runtime.snapshot()))
     session.finish()
     return 0
 
@@ -973,7 +966,7 @@ def _cmd_validate(args) -> int:
     runtime = session.runtime
     validation = validate_subset(trace, subset, config, runtime=runtime)
     print(validation.report())
-    print(runtime.snapshot().summary_line())
+    print(summary_line(runtime.snapshot()))
     session.finish()
     return 0 if validation.passed else 2
 
@@ -1004,7 +997,7 @@ def _cmd_sweep(args) -> int:
     )
     print(f"ranking agreement (spearman): {result.ranking_agreement:.4f}")
     print(f"winner agrees: {result.winner_agrees()}")
-    print(runtime.snapshot().summary_line())
+    print(summary_line(runtime.snapshot()))
     from repro.obs.artifacts import sweep_artifact_sections
 
     session.artifacts = sweep_artifact_sections(result)
@@ -1037,7 +1030,7 @@ def _cmd_experiment(args) -> int:
             "e10": lambda: experiments.e10_phase_signal_stability(traces),
         }[experiment_id]
         print(runner().render())
-        print(runtime.snapshot().summary_line())
+        print(summary_line(runtime.snapshot()))
         session.finish()
         return 0
     if experiment_id == "e5":

@@ -16,17 +16,18 @@ def euclidean_to_point(matrix: np.ndarray, point: np.ndarray) -> np.ndarray:
 def pairwise_euclidean(matrix: np.ndarray) -> np.ndarray:
     """Full (n, n) Euclidean distance matrix.
 
-    Uses the expanded-square identity with a clamp against negative
-    round-off before the square root.
+    Each row is computed from exact differences (as
+    :func:`euclidean_to_point` does), so identical rows are exactly 0
+    apart and the matrix is exactly symmetric; the expanded-square
+    identity leaves ~1e-6 of cancellation error on the diagonal.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValidationError(f"matrix must be 2-D, got shape {matrix.shape}")
-    sq = np.einsum("ij,ij->i", matrix, matrix)
-    gram = matrix @ matrix.T
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
+    out = np.empty((matrix.shape[0], matrix.shape[0]))
+    for i, row in enumerate(matrix):
+        out[i] = euclidean_to_point(matrix, row)
+    return out
 
 
 def cdist_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:

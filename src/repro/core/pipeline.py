@@ -38,8 +38,9 @@ from repro.core.subsetting import WorkloadSubset, build_subset
 from repro.errors import SubsetError
 from repro.gfx.frame import Frame, RenderPass
 from repro.gfx.trace import Trace
+from repro.obs.metrics import MetricsSnapshot
+from repro.obs.stages import stage, summary_line
 from repro.runtime.engine import Runtime
-from repro.runtime.telemetry import TelemetrySnapshot
 from repro.simgpu.config import GpuConfig
 from repro.util.tables import format_table
 
@@ -60,7 +61,7 @@ class PipelineResult:
     clusterings: Optional[Tuple[FrameClustering, ...]] = field(
         default=None, compare=False
     )
-    telemetry: Optional[TelemetrySnapshot] = field(default=None, compare=False)
+    telemetry: Optional[MetricsSnapshot] = field(default=None, compare=False)
 
     # -- E1 ------------------------------------------------------------------
 
@@ -115,7 +116,7 @@ class PipelineResult:
             title=f"Subsetting report: {self.trace_name} on {self.config_name}",
         )
         if self.telemetry is not None:
-            table = f"{table}\n{self.telemetry.summary_line()}"
+            table = f"{table}\n{summary_line(self.telemetry)}"
         return table
 
 
@@ -294,7 +295,7 @@ class SubsettingPipeline:
 
             predictions: List[FramePrediction] = []
             outlier_rates: List[float] = []
-            with runtime.telemetry.timer("predict"):
+            with stage("predict", runtime.obs):
                 for frame, clustering, truth, rep_out in zip(
                     trace.frames, clusterings, ground, rep_outputs
                 ):
@@ -329,7 +330,7 @@ class SubsettingPipeline:
                         ).outlier_rate
                     )
 
-            with runtime.telemetry.timer("phase_detect"):
+            with stage("phase_detect", runtime.obs):
                 detection = detect_phases(
                     trace,
                     interval_length=self.interval_length,

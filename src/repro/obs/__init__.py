@@ -11,13 +11,16 @@ pool; this subsystem makes those runs explainable:
   time, cache lookup latency, cluster sizes);
 - :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``) and span JSONL;
-- :mod:`repro.obs.manifest` — ``run.json`` reproducibility manifests
-  (config/trace digests, seeds, CLI args, package version, host);
+- :mod:`repro.obs.stages` — stage timing: a ``stage`` span plus the
+  stage's seconds in the run's metrics registry, top-level or nested;
 - :mod:`repro.obs.context` — ambient (tracer, metrics) propagation so
   deep call sites (simgpu kernels, task functions) need no plumbing;
 - :mod:`repro.obs.logjson` — structured JSON-lines logging for the CLI;
-- :mod:`repro.obs.history` — the append-only run store under
-  ``.repro/runs/`` every CLI run and benchmark appends to;
+- :mod:`repro.obs.history` — the run record (the one reproducibility
+  record: config/trace digests, seeds, CLI args, environment, metrics,
+  stage rollups) and the append-only run store under ``.repro/runs/``
+  every CLI run and benchmark appends to (``--manifest-out`` writes
+  the same record to a file);
 - :mod:`repro.obs.analyze` — statistical perf-regression gates over
   run-store windows and span-rollup hotspot profiling;
 - :mod:`repro.obs.progress` — live progress/heartbeat telemetry for
@@ -25,8 +28,8 @@ pool; this subsystem makes those runs explainable:
 
 The disabled path is the default and costs essentially nothing: the
 :data:`~repro.obs.spans.NULL_TRACER` turns every span into a shared
-no-op context manager.  ``repro.runtime.telemetry.Telemetry`` remains as
-a back-compat shim over :class:`~repro.obs.metrics.Metrics`.
+no-op context manager.  One :class:`~repro.obs.metrics.Metrics` registry
+and one tracer per run hold every count and measured second.
 
 See ``docs/OBSERVABILITY.md`` for the span model, metric naming
 conventions, and how to open a trace in Perfetto.
@@ -65,7 +68,6 @@ from repro.obs.history import (
     record_run,
 )
 from repro.obs.logjson import JsonLogger, NullLogger
-from repro.obs.manifest import MANIFEST_VERSION, RunManifest, load_manifest
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     HistogramSnapshot,
@@ -75,13 +77,13 @@ from repro.obs.metrics import (
 )
 from repro.obs.progress import NULL_PROGRESS, NullProgress, ProgressReporter
 from repro.obs.spans import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.stages import STAGE_SERIES, stage, stage_seconds, summary_line
 
 __all__ = [
     "ARTIFACTS_VERSION",
     "DEFAULT_BUCKETS",
     "HistogramSnapshot",
     "JsonLogger",
-    "MANIFEST_VERSION",
     "Metrics",
     "MetricsSnapshot",
     "NULL_PROGRESS",
@@ -92,8 +94,8 @@ __all__ = [
     "ObsContext",
     "ProgressReporter",
     "RUN_STORE_VERSION",
+    "STAGE_SERIES",
     "RegressionReport",
-    "RunManifest",
     "RunRecord",
     "RunStore",
     "Span",
@@ -109,13 +111,15 @@ __all__ = [
     "current_tracer",
     "label_key",
     "load_artifacts",
-    "load_manifest",
     "new_run_id",
     "pipeline_artifact_sections",
     "read_index",
     "record_run",
     "render_regressions",
     "rollup_spans",
+    "stage",
+    "stage_seconds",
+    "summary_line",
     "sweep_artifact_sections",
     "validate_chrome_trace",
     "write_artifacts",

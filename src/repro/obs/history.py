@@ -3,11 +3,13 @@
 Every simulating CLI subcommand and every benchmark appends one
 :class:`RunRecord` per invocation through the shared :func:`record_run`
 hook, so the repository accumulates a longitudinal, queryable record of
-execution telemetry instead of a single overwritten snapshot: manifest
-digests, a flattened metrics snapshot, per-stage wall-time rollups, the
-git SHA, and an environment fingerprint.  The regression gates in
-:mod:`repro.obs.analyze` read windows of these records back to decide
-whether the current run drifted.
+execution telemetry instead of a single overwritten snapshot: config
+and trace digests, seeds, a flattened metrics snapshot, per-stage
+wall-time rollups, the git SHA, and an environment fingerprint.  The
+record is also the run's one reproducibility record: ``--manifest-out``
+writes the same JSON to a file of the user's choosing.  The regression
+gates in :mod:`repro.obs.analyze` read windows of these records back to
+decide whether the current run drifted.
 
 The store is **append-only by construction**: each record lands in its
 own file named by creation time plus a random run id, opened with
@@ -30,6 +32,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import ValidationError
+from repro.obs.metrics import MetricsSnapshot
+from repro.obs.stages import STAGE_SERIES, stage_seconds
 
 #: Bump when the record layout changes meaning.
 RUN_STORE_VERSION = 1
@@ -122,7 +126,7 @@ def _render_labels(labels: Mapping[str, str]) -> str:
     return "{" + inner + "}"
 
 
-def flatten_metrics(snapshot: Any) -> Dict[str, float]:
+def flatten_metrics(snapshot: MetricsSnapshot) -> Dict[str, float]:
     """A :class:`~repro.obs.metrics.MetricsSnapshot` as flat scalars.
 
     Naming scheme (stable — the regression gate keys on it):
@@ -131,6 +135,8 @@ def flatten_metrics(snapshot: Any) -> Dict[str, float]:
     - ``counter:<name>{k=v,...}`` — one entry per labeled series;
     - ``gauge:<name>{...}`` — gauges verbatim;
     - ``hist:<name>{...}:mean`` / ``:count`` — histogram rollups.
+
+    The stage series is left out: records carry it as ``stages``.
     """
     flat: Dict[str, float] = {}
     for name, total in snapshot.counter_totals().items():
@@ -141,6 +147,8 @@ def flatten_metrics(snapshot: Any) -> Dict[str, float]:
     for (name, labels), value in snapshot.gauges.items():
         flat[f"gauge:{name}{_render_labels(dict(labels))}"] = float(value)
     for (name, labels), hist in snapshot.histograms.items():
+        if name == STAGE_SERIES:
+            continue
         prefix = f"hist:{name}{_render_labels(dict(labels))}"
         flat[f"{prefix}:count"] = float(hist.count)
         flat[f"{prefix}:mean"] = float(hist.mean)
@@ -184,6 +192,10 @@ class RunRecord:
             "top_stages": dict(self.top_stages),
             "extra": dict(self.extra),
         }
+
+    def to_json(self) -> str:
+        """The record's file form (what the store appends)."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
@@ -235,7 +247,7 @@ def collect_record(
     command: str,
     *,
     argv: Optional[Sequence[str]] = None,
-    telemetry: Optional[Any] = None,
+    snapshot: Optional[MetricsSnapshot] = None,
     metrics: Optional[Mapping[str, float]] = None,
     stages: Optional[Mapping[str, float]] = None,
     seeds: Optional[Mapping[str, int]] = None,
@@ -248,23 +260,18 @@ def collect_record(
 ) -> RunRecord:
     """Build a :class:`RunRecord` from live objects.
 
-    ``telemetry`` is a :class:`~repro.runtime.telemetry.Telemetry`; its
-    metrics snapshot is flattened and its stage timers become the
-    per-stage rollups.  ``metrics``/``stages`` accept pre-flattened
-    mappings for callers (benchmarks) without a telemetry object; when
-    both are given the explicit mappings win key-by-key.
+    ``snapshot`` is the run's :class:`~repro.obs.metrics.MetricsSnapshot`:
+    it is flattened into ``metrics`` and its stage series becomes the
+    ``stages`` / ``top_stages`` rollups.  ``metrics``/``stages`` accept
+    pre-flattened mappings for callers (benchmarks) without a registry;
+    when both are given the explicit mappings win key-by-key.
     """
     flat: Dict[str, float] = {}
     stage_rollup: Dict[str, float] = {}
     top_rollup: Dict[str, float] = {}
-    if telemetry is not None:
-        snap = telemetry.snapshot()
-        flat.update(flatten_metrics(telemetry.metrics.snapshot()))
-        stage_rollup.update({k: float(v) for k, v in snap.timers_s.items()})
-        if snap.top_timers_s is not None:
-            top_rollup.update(
-                {k: float(v) for k, v in snap.top_timers_s.items()}
-            )
+    if snapshot is not None:
+        flat.update(flatten_metrics(snapshot))
+        stage_rollup, top_rollup = stage_seconds(snapshot)
     if metrics:
         flat.update({k: float(v) for k, v in metrics.items()})
     if stages:
@@ -332,8 +339,7 @@ class RunStore:
         while True:
             try:
                 with open(path, "x", encoding="utf-8") as stream:
-                    json.dump(record.to_dict(), stream, indent=2, sort_keys=True)
-                    stream.write("\n")
+                    stream.write(record.to_json())
                 return path
             except FileExistsError:
                 attempt += 1
@@ -443,7 +449,7 @@ def record_run(
     *,
     store: Optional[Union[str, Path, RunStore]] = None,
     argv: Optional[Sequence[str]] = None,
-    telemetry: Optional[Any] = None,
+    snapshot: Optional[MetricsSnapshot] = None,
     metrics: Optional[Mapping[str, float]] = None,
     stages: Optional[Mapping[str, float]] = None,
     seeds: Optional[Mapping[str, int]] = None,
@@ -492,7 +498,7 @@ def record_run(
     record = collect_record(
         command,
         argv=argv,
-        telemetry=telemetry,
+        snapshot=snapshot,
         metrics=metrics,
         stages=stages,
         seeds=seeds,

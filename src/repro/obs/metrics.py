@@ -1,6 +1,6 @@
 """Labeled metrics registry: counters, gauges, fixed-bucket histograms.
 
-One :class:`Metrics` object per run (the runtime's telemetry owns it).
+One :class:`Metrics` object per run (the runtime owns it).
 Every instrument is identified by a name plus a label set, e.g.::
 
     metrics.inc("frames_simulated", 64, phase="ground_truth")
@@ -13,8 +13,7 @@ worker's report back in — is a plain element-wise add, never a re-bin.
 
 Worker processes cannot share the parent's registry, so they record into
 a local :class:`Metrics`, ship :meth:`Metrics.dump` with their results,
-and the engine folds it back with :meth:`Metrics.merge` — mirroring the
-existing counter-merge pattern.
+and the engine folds it back with :meth:`Metrics.merge`.
 """
 
 from __future__ import annotations
@@ -141,7 +140,7 @@ class MetricsSnapshot:
         return self.histograms.get((name, label_key(labels)))
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-safe representation (``--metrics-out``, manifests)."""
+        """JSON-safe representation (``--metrics-out``)."""
 
         def series(key: MetricKey) -> Dict[str, Any]:
             name, labels = key

@@ -12,13 +12,12 @@ library runs on:
   stable digest of (trace content, GPU config, algorithm parameters,
   format version), persisted on disk so re-runs and interrupted sweeps
   skip completed work;
-- :class:`~repro.runtime.telemetry.Telemetry` — counters and stage
-  timers (tasks run, cache hits/misses, frames simulated) surfaced in
-  pipeline and suite reports; now a back-compat shim over the
-  :mod:`repro.obs` metrics registry and span tracer, so labeled metrics
-  and hierarchical traces come from the same object;
 - :class:`~repro.runtime.engine.Runtime` — the facade the pipeline,
-  suite, sweep, and CLI layers accept as ``runtime=``.
+  suite, sweep, and CLI layers accept as ``runtime=``.  Its
+  ``metrics`` (a :class:`~repro.obs.metrics.Metrics` registry) and
+  ``tracer`` are the run's one telemetry API: counters (tasks run,
+  cache hits/misses, frames simulated), histograms, and stage time
+  (:func:`repro.obs.stages.stage`) all land there.
 
 See ``docs/RUNTIME.md`` for the architecture, the cache-key recipe, and
 the invalidation rules, and ``docs/OBSERVABILITY.md`` for the span
@@ -41,7 +40,6 @@ from repro.runtime.keys import (
     trace_digest,
 )
 from repro.runtime.tasks import TASK_FUNCTIONS, Task, TaskResult, task_function
-from repro.runtime.telemetry import Telemetry, TelemetrySnapshot
 
 __all__ = [
     "ArtifactCache",
@@ -54,8 +52,6 @@ __all__ = [
     "Task",
     "TaskEngine",
     "TaskResult",
-    "Telemetry",
-    "TelemetrySnapshot",
     "config_digest",
     "default_cache_dir",
     "params_digest",

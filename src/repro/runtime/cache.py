@@ -28,7 +28,7 @@ from typing import Any, Dict, Optional, Union
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.runtime.telemetry import Telemetry
+from repro.obs.metrics import Metrics
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -72,7 +72,7 @@ class NullCache:
 class ArtifactCache:
     """Durable content-addressed store for runtime artifacts.
 
-    ``telemetry`` (bound by the runtime that owns the cache) receives
+    ``metrics`` (bound by the runtime that owns the cache) receives
     ``cache_hits`` / ``cache_misses`` / ``cache_puts`` /
     ``cache_corrupt_evicted`` counts.
     """
@@ -80,17 +80,17 @@ class ArtifactCache:
     def __init__(
         self,
         cache_dir: Union[str, Path, None] = None,
-        telemetry: Optional[Telemetry] = None,
+        metrics: Optional[Metrics] = None,
     ) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-        self.telemetry = telemetry
+        self.metrics = metrics
         self.cache_dir.mkdir(parents=True, exist_ok=True)
 
     # -- internals ---------------------------------------------------------
 
     def _count(self, name: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.count(name)
+        if self.metrics is not None:
+            self.metrics.inc(name)
 
     def _paths(self, key: str) -> Dict[str, Path]:
         if not key or any(c not in "0123456789abcdef" for c in key):
@@ -135,8 +135,8 @@ class ArtifactCache:
         try:
             return self._get(key)
         finally:
-            if self.telemetry is not None:
-                self.telemetry.observe(
+            if self.metrics is not None:
+                self.metrics.observe(
                     "cache_lookup_s", time.perf_counter() - start
                 )
 

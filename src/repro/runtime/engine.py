@@ -12,15 +12,16 @@ Observability rides the same rails: each task runs under an ambient
 :class:`~repro.obs.context.ObsContext` and inside a ``task:<kind>``
 span.  Inline tasks record straight into the parent's tracer/metrics;
 pool tasks record into a worker-local pair — rooted at the span id the
-parent captured at submit time — and ship spans, timers, and metric
-dumps back inside the :class:`~repro.runtime.tasks.TaskResult`, where
-:meth:`TaskEngine._finish` folds them in (the counter-merge pattern,
-generalized).
+parent captured at submit time — and ship spans and a metrics dump
+(stage time included) back inside the
+:class:`~repro.runtime.tasks.TaskResult`, where
+:meth:`TaskEngine._finish` folds them in.
 
 :class:`Runtime` bundles an engine, a content-addressed
-:class:`~repro.runtime.cache.ArtifactCache`, and a
-:class:`~repro.runtime.telemetry.Telemetry` into the object the
-pipeline, suite, sweep, and CLI layers thread through.
+:class:`~repro.runtime.cache.ArtifactCache`, and the run's
+:class:`~repro.obs.context.ObsContext` (metrics registry plus tracer)
+into the object the pipeline, suite, sweep, and CLI layers thread
+through.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.obs.context import ObsContext, activate_obs
-from repro.obs.metrics import Metrics
+from repro.obs.metrics import Metrics, MetricsSnapshot
 from repro.obs.progress import NULL_PROGRESS, NullProgress, ProgressReporter
 from repro.obs.spans import NULL_TRACER, Tracer
+from repro.obs.stages import record_stage, stage
 from repro.runtime.cache import CACHE_MISS, ArtifactCache, NullCache
 from repro.runtime.keys import task_key
 from repro.runtime.tasks import Task, TaskResult, resolve_task_function
-from repro.runtime.telemetry import Telemetry, TelemetrySnapshot
 from repro.util.rng import spawn_worker_seed
 
 if TYPE_CHECKING:
@@ -98,12 +99,9 @@ def _execute_in_worker(blob: bytes) -> TaskResult:
             result = _run_task(_WORKER_CONTEXT, kind, payload, dep_values, seed)
     elapsed = time.perf_counter() - start
     metrics.observe("task_wall_s", elapsed, worker=str(os.getpid()))
+    record_stage(metrics, f"worker.{kind}", elapsed)
     return TaskResult(
-        value=result.value,
-        counters=result.counters,
-        timers={**result.timers, f"worker.{kind}": elapsed},
-        metrics=metrics.dump(),
-        spans=tuple(tracer.drain()),
+        value=result.value, metrics=metrics.dump(), spans=tuple(tracer.drain())
     )
 
 
@@ -154,14 +152,14 @@ class TaskEngine:
         self,
         jobs: int = 1,
         cache: Optional[CacheLike] = None,
-        telemetry: Optional[Telemetry] = None,
+        obs: Optional[ObsContext] = None,
         progress: Optional[Union[ProgressReporter, NullProgress]] = None,
     ) -> None:
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise ConfigError(f"jobs must be an int >= 1, got {jobs!r}")
         self.jobs = jobs
         self.cache = cache if cache is not None else NullCache()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.obs = obs if obs is not None else ObsContext()
         self.progress = progress if progress is not None else NULL_PROGRESS
 
     # -- execution ---------------------------------------------------------
@@ -184,7 +182,7 @@ class TaskEngine:
                 hit = self.cache.get(task.cache_key)
                 if hit is not CACHE_MISS:
                     results[task.task_id] = hit
-                    self.telemetry.count("tasks_from_cache")
+                    self.obs.metrics.inc("tasks_from_cache")
                     continue
             pending.append(task)
         if not pending:
@@ -204,19 +202,13 @@ class TaskEngine:
         return results
 
     def _frames_simulated(self) -> int:
-        return self.telemetry.counter("frames_simulated")
+        return self.obs.metrics.counter_total("frames_simulated")
 
     def _finish(self, task: Task, result: TaskResult, results: Dict[str, Any]) -> None:
         results[task.task_id] = result.value
-        self.telemetry.count("tasks_run")
-        if result.counters:
-            self.telemetry.merge_counters(result.counters)
-        if result.timers:
-            self.telemetry.merge_timers(result.timers)
-        if result.metrics:
-            self.telemetry.metrics.merge(result.metrics)
-        if result.spans:
-            self.telemetry.tracer.merge(result.spans)
+        self.obs.metrics.inc("tasks_run")
+        self.obs.metrics.merge(result.metrics)
+        self.obs.tracer.merge(result.spans)
         if task.cache_key is not None:
             self.cache.put(task.cache_key, result.value)
 
@@ -226,14 +218,13 @@ class TaskEngine:
     def _run_serial(
         self, pending: List[Task], context: Any, results: Dict[str, Any]
     ) -> None:
-        telemetry = self.telemetry
-        obs = ObsContext(tracer=telemetry.tracer, metrics=telemetry.metrics)
+        metrics, tracer = self.obs.metrics, self.obs.tracer
         total = len(pending)
-        with activate_obs(obs):
+        with activate_obs(self.obs):
             for done, task in enumerate(pending, start=1):
                 start = time.perf_counter()
                 try:
-                    with telemetry.tracer.span(
+                    with tracer.span(
                         f"task:{task.kind}", category="task", task_id=task.task_id
                     ):
                         result = _run_task(
@@ -241,11 +232,11 @@ class TaskEngine:
                             self._dep_values(task, results), task.seed,
                         )
                 except Exception:
-                    telemetry.count("tasks_failed")
+                    metrics.inc("tasks_failed")
                     raise
                 elapsed = time.perf_counter() - start
-                telemetry.observe("task_wall_s", elapsed, worker="main")
-                telemetry.merge_timers({f"worker.{task.kind}": elapsed})
+                metrics.observe("task_wall_s", elapsed, worker="main")
+                record_stage(metrics, f"worker.{task.kind}", elapsed)
                 self._finish(task, result, results)
                 self.progress.task_done(done, total, self._frames_simulated())
 
@@ -267,7 +258,7 @@ class TaskEngine:
             initargs=(context,),
         )
         futures: Dict[Future[TaskResult], Task] = {}
-        tracer = self.telemetry.tracer
+        tracer = self.obs.tracer
 
         def submit(task: Task) -> None:
             try:
@@ -307,7 +298,7 @@ class TaskEngine:
                     try:
                         result = future.result()
                     except Exception:
-                        self.telemetry.count("tasks_failed")
+                        self.obs.metrics.inc("tasks_failed")
                         raise
                     self._finish(task, result, results)
                     finished += 1
@@ -360,9 +351,10 @@ class Runtime:
     repeated experiments and interrupted sweeps skip every
     already-computed simulation.
 
-    ``tracer=Tracer()`` (or a prebuilt ``telemetry`` bound to one)
-    enables hierarchical span tracing; the default
+    ``tracer=Tracer()`` enables hierarchical span tracing; the default
     :data:`~repro.obs.spans.NULL_TRACER` makes every span a no-op.
+    ``metrics`` is the run's registry (a fresh one by default); counters,
+    histograms, and stage time of every layer below land in it.
     """
 
     #: Below this many work items, ``jobs="auto"`` runs inline: on traces
@@ -375,7 +367,7 @@ class Runtime:
         jobs: Union[int, str] = 1,
         cache: Optional[CacheLike] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        telemetry: Optional[Telemetry] = None,
+        metrics: Optional[Metrics] = None,
         tracer: Optional[object] = None,
         seed: int = 0,
         chunks_per_job: int = 2,
@@ -384,10 +376,6 @@ class Runtime:
     ) -> None:
         if cache is not None and cache_dir is not None:
             raise ConfigError("pass either cache or cache_dir, not both")
-        if telemetry is not None and tracer is not None:
-            raise ConfigError(
-                "pass either telemetry (bound to a tracer) or tracer, not both"
-            )
         if not isinstance(chunks_per_job, int) or chunks_per_job < 1:
             raise ConfigError(
                 f"chunks_per_job must be an int >= 1, got {chunks_per_job!r}"
@@ -407,24 +395,24 @@ class Runtime:
             serial_cutoff if serial_cutoff is not None
             else self.DEFAULT_SERIAL_CUTOFF
         )
-        if telemetry is None:
-            telemetry = Telemetry(tracer=tracer)
-        self.telemetry = telemetry
+        self.obs = ObsContext(
+            tracer=tracer if tracer is not None else NULL_TRACER,
+            metrics=metrics if metrics is not None else Metrics(),
+        )
         if cache is None:
             cache = (
-                ArtifactCache(cache_dir, telemetry=self.telemetry)
+                ArtifactCache(cache_dir, metrics=self.metrics)
                 if cache_dir is not None
                 else NullCache()
             )
-        if isinstance(cache, ArtifactCache) and cache.telemetry is None:
-            cache.telemetry = self.telemetry
+        if isinstance(cache, ArtifactCache) and cache.metrics is None:
+            cache.metrics = self.metrics
         self.cache = cache
         self.seed = seed
         self.chunks_per_job = chunks_per_job
         self.progress = progress if progress is not None else NULL_PROGRESS
         self.engine = TaskEngine(
-            jobs=jobs, cache=cache, telemetry=self.telemetry,
-            progress=self.progress,
+            jobs=jobs, cache=cache, obs=self.obs, progress=self.progress,
         )
 
     @property
@@ -434,12 +422,12 @@ class Runtime:
     @property
     def tracer(self) -> Any:
         """The span tracer observability layers record into."""
-        return self.telemetry.tracer
+        return self.obs.tracer
 
     @property
     def metrics(self) -> Metrics:
-        """The labeled metrics registry behind the telemetry shim."""
-        return self.telemetry.metrics
+        """The run's labeled metrics registry."""
+        return self.obs.metrics
 
     @classmethod
     def serial(cls) -> "Runtime":
@@ -517,7 +505,7 @@ class Runtime:
                 for start, stop in ranges
             ]
             self._prepublish_precomp(trace, len(tasks))
-            with self.telemetry.timer(label):
+            with stage(label, self.obs):
                 values = self.engine.run(tasks, context=trace)
             for position, (key, _) in enumerate(need):
                 outputs: list = []
@@ -551,10 +539,10 @@ class Runtime:
                 return
         except Exception:
             return
-        with self.telemetry.timer("precomp_publish"):
+        with stage("precomp_publish", self.obs):
             published = prepublish_precomp(trace)
         if published:
-            self.telemetry.count("precomp_prepublished_frames", published)
+            self.metrics.inc("precomp_prepublished_frames", published)
 
     def simulate_frames(
         self, trace: Trace, config: GpuConfig, label: str = "simulate"
@@ -608,7 +596,7 @@ class Runtime:
             )
             for start, stop in ranges
         ]
-        with self.telemetry.timer("cluster"):
+        with stage("cluster", self.obs):
             values = self.engine.run(tasks, context=trace)
         clusterings: list = []
         for start, stop in ranges:
@@ -618,8 +606,5 @@ class Runtime:
 
     # -- reporting ---------------------------------------------------------
 
-    def snapshot(self) -> TelemetrySnapshot:
-        return self.telemetry.snapshot()
-
-    def report(self) -> str:
-        return self.telemetry.report()
+    def snapshot(self) -> MetricsSnapshot:
+        return self.metrics.snapshot()

@@ -6,19 +6,19 @@ frames, cluster a range of frames, or call an arbitrary function.  Task
 kind name after a fork/spawn) and registered in :data:`TASK_FUNCTIONS`;
 they receive the run's shared ``context`` (shipped once per worker, not
 once per task — the trace is the heavy part), their payload, and the
-results of their dependencies, and return a :class:`TaskResult` whose
-counters the engine folds into telemetry in the parent process.
+results of their dependencies, and return their value (optionally
+wrapped in a :class:`TaskResult`).
 
-Task bodies also run under an ambient :class:`repro.obs.ObsContext`:
-labeled metrics and nested spans they record land in the parent's
+Task bodies run under an ambient :class:`repro.obs.ObsContext`: the
+counters, histograms, and nested spans they record land in the parent's
 registry directly when executing inline, or in a worker-local registry
-that ships back inside the :class:`TaskResult` (``timers``, ``metrics``,
-``spans``) when executing in a pool worker.
+that ships back inside the :class:`TaskResult` (``metrics``, ``spans``)
+when executing in a pool worker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -29,18 +29,13 @@ from repro.obs.context import current_obs
 class TaskResult:
     """A task function's return value plus its observability payload.
 
-    ``counters`` is the legacy unlabeled counter report; ``timers``
-    carries worker-side stage timers (merged via
-    :meth:`~repro.runtime.telemetry.Telemetry.merge_timers`),
-    ``metrics`` a worker registry dump (labeled counters/histograms),
-    and ``spans`` the spans recorded inside the worker.  Task functions
-    only ever fill ``value`` and ``counters``; the engine's worker
-    wrapper attaches the rest.
+    ``metrics`` is a worker registry dump (counters, histograms, stage
+    time) and ``spans`` the spans recorded inside the worker.  Task
+    functions only ever fill ``value``; the engine's worker wrapper
+    attaches the rest.
     """
 
     value: Any
-    counters: Mapping[str, int] = field(default_factory=dict)
-    timers: Mapping[str, float] = field(default_factory=dict)
     metrics: Optional[Mapping[str, Any]] = None
     spans: Tuple[Any, ...] = ()
 
@@ -150,9 +145,9 @@ def _cluster_frame_range(
 ) -> TaskResult:
     """Cluster frames ``[start, stop)`` of the context trace.
 
-    Records the cluster-count and cluster-size distributions
-    (``frame_cluster_count``, ``cluster_size`` histograms) on the
-    ambient metrics registry.
+    Records ``frames_clustered`` and the cluster-count and cluster-size
+    distributions (``frame_cluster_count``, ``cluster_size`` histograms)
+    on the ambient metrics registry.
     """
     from repro.core.cluster_frame import cluster_frame
     from repro.core.features import FeatureExtractor
@@ -170,4 +165,5 @@ def _cluster_frame_range(
         for weight in clustering.weights:
             metrics.observe("cluster_size", float(weight))
         clusterings.append(clustering)
-    return TaskResult(tuple(clusterings), {"frames_clustered": stop - start})
+    metrics.inc("frames_clustered", stop - start)
+    return TaskResult(tuple(clusterings))

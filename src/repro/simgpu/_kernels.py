@@ -21,7 +21,7 @@ Backend selection is ``$REPRO_KERNELS`` (or the CLI ``--kernels``
 flag): ``auto`` (default; numba, then cext, then python), or one of the
 explicit names — requesting an unavailable backend is a
 :class:`~repro.errors.ConfigError`, never a silent fallback.  The
-resolved backend is reported in run manifests and the environment
+resolved backend is reported in the run record's environment
 fingerprint (:func:`kernel_info`) so run records stay comparable.
 
 **Exactness contract.** Every kernel is defined so all three backends
@@ -407,7 +407,7 @@ def _find_compiler() -> Optional[str]:
 
 
 def _kernel_build_dir() -> Path:
-    # Imported lazily: runtime.cache pulls in telemetry/obs, which the
+    # Imported lazily: runtime.cache pulls in repro.obs, which the
     # kernels themselves never need at import time.
     from repro.runtime.cache import default_cache_dir
 
@@ -613,7 +613,7 @@ def set_backend(name: str) -> str:
 def resolved_backend_name() -> Optional[str]:
     """The active backend's name if already resolved, else ``None``.
 
-    Reporting surfaces (manifest, environment fingerprint) use this so
+    Reporting surfaces (the environment fingerprint) use this so
     that *recording* a run never forces a compile/import as a side
     effect: simulating commands resolve the backend while simulating,
     and non-simulating commands honestly report ``None``.
@@ -624,7 +624,7 @@ def resolved_backend_name() -> Optional[str]:
 
 
 def kernel_info(resolve: bool = False) -> Dict[str, Optional[str]]:
-    """Requested + resolved backend names, for manifests and benches."""
+    """Requested + resolved backend names, for run records and benches."""
     if resolve:
         backend()
     return {"requested": requested_backend(), "backend": resolved_backend_name()}

@@ -80,6 +80,11 @@ class TestDistances:
         np.testing.assert_allclose(dists, dists.T, atol=1e-9)
         np.testing.assert_allclose(np.diag(dists), 0.0, atol=1e-6)
 
+    def test_pairwise_identical_rows_are_exactly_zero_apart(self):
+        # The expanded-square identity gave 1.9e-6 in every cell here.
+        matrix = np.array([[38.4, -59.9, -26.1, -99.3]] * 2)
+        assert (pairwise_euclidean(matrix) == 0.0).all()
+
     def test_cdist_matches_pairwise(self):
         rng = np.random.default_rng(2)
         matrix = rng.normal(size=(10, 3))

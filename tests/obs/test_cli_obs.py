@@ -98,7 +98,47 @@ class TestMetricsAndManifestOut:
         assert manifest["jobs"] == 2
         assert list(manifest["config_digests"]) == ["mainstream"]
         assert len(manifest["trace_digests"]) == 1
-        assert manifest["metrics"]["counters"]  # final snapshot embedded
+        # The final snapshot is embedded, flattened as in the run store.
+        assert manifest["metrics"]["counter:frames_simulated{phase=ground_truth}"] == 5
+
+    def test_manifest_is_the_stored_record(self, trace_file, tmp_path):
+        store = tmp_path / "runs"
+        manifest_out = tmp_path / "run.json"
+        assert (
+            main(
+                [
+                    "simulate", str(trace_file), "--no-cache",
+                    "--run-store", str(store),
+                    "--manifest-out", str(manifest_out),
+                ]
+            )
+            == 0
+        )
+        [stored] = sorted(store.glob("*.json"))
+        manifest = json.loads(manifest_out.read_text())
+        assert manifest == json.loads(stored.read_text())
+        assert stored.stem.endswith(manifest["run_id"])
+
+    @pytest.mark.parametrize("disable", ["flag", "env"])
+    def test_manifest_written_without_run_store(
+        self, trace_file, tmp_path, monkeypatch, disable
+    ):
+        manifest_out = tmp_path / "run.json"
+        argv = [
+            "simulate", str(trace_file), "--no-cache",
+            "--manifest-out", str(manifest_out),
+        ]
+        if disable == "flag":
+            argv.append("--no-run-store")
+        else:
+            monkeypatch.setenv("REPRO_RUN_STORE", "")
+        assert main(argv) == 0
+        manifest = json.loads(manifest_out.read_text())
+        assert manifest["run_store_version"] == 1
+        assert manifest["run_id"]
+        assert manifest["command"] == "simulate"
+        assert "ground_truth" not in manifest["stages"]
+        assert manifest["stages"]["simulate"] > 0
 
     def test_manifest_digest_matches_cache_key_digest(self, trace_file, tmp_path):
         from repro.gfx.traceio import load_trace_auto

@@ -43,9 +43,10 @@ class TestParallelObservabilityParity:
         serial = _run(trace, config, jobs=1)
         parallel = _run(trace, config, jobs=4)
 
-        serial_counts = serial.snapshot().counters
-        parallel_counts = parallel.snapshot().counters
+        serial_counts = serial.snapshot().counter_totals()
+        parallel_counts = parallel.snapshot().counter_totals()
         for name in WORKLOAD_COUNTERS:
+            assert serial_counts[name] > 0, name
             assert parallel_counts[name] == serial_counts[name], name
 
         def count(runtime, name):

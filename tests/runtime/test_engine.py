@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs.context import ObsContext, current_obs
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.engine import Runtime, TaskEngine, _chunk_ranges
 from repro.runtime.tasks import Task, TaskResult, task_function
-from repro.runtime.telemetry import Telemetry
 
 # Test task kinds register at import time; worker processes inherit them
 # through the fork start method.
@@ -42,7 +42,8 @@ def _draw(context, payload, deps):
 
 @task_function("test.counted")
 def _counted(context, payload, deps):
-    return TaskResult(payload, {"widgets_made": payload})
+    current_obs().metrics.inc("widgets_made", payload)
+    return TaskResult(payload)
 
 
 @task_function("test.pid")
@@ -134,11 +135,11 @@ class TestExecution:
 class TestFailures:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_exception_type_propagates(self, jobs):
-        telemetry = Telemetry()
-        engine = TaskEngine(jobs=jobs, telemetry=telemetry)
+        obs = ObsContext()
+        engine = TaskEngine(jobs=jobs, obs=obs)
         with pytest.raises(ValueError, match="boom from task body"):
             engine.run([Task("a", "test.boom")])
-        assert telemetry.snapshot().counter("tasks_failed") == 1
+        assert obs.metrics.snapshot().counter("tasks_failed") == 1
 
     def test_failure_does_not_poison_engine(self):
         engine = TaskEngine(jobs=2)
@@ -177,20 +178,20 @@ class TestSeeding:
 
 class TestEngineCaching:
     def test_cached_task_not_executed(self, tmp_path):
-        telemetry = Telemetry()
-        cache = ArtifactCache(tmp_path, telemetry=telemetry)
-        engine = TaskEngine(jobs=1, cache=cache, telemetry=telemetry)
+        obs = ObsContext()
+        cache = ArtifactCache(tmp_path, metrics=obs.metrics)
+        engine = TaskEngine(jobs=1, cache=cache, obs=obs)
         key = "ab" * 32
         task = Task("a", "test.counted", payload=5, cache_key=key)
         first = engine.run([task])
         assert first == {"a": 5}
-        snapshot = telemetry.snapshot()
+        snapshot = obs.metrics.snapshot()
         assert snapshot.counter("tasks_run") == 1
         assert snapshot.counter("widgets_made") == 5
 
         second = engine.run([task])
         assert second == {"a": 5}
-        snapshot = telemetry.snapshot()
+        snapshot = obs.metrics.snapshot()
         # No new execution, no new worker counters — just a cache read.
         assert snapshot.counter("tasks_run") == 1
         assert snapshot.counter("widgets_made") == 5
@@ -212,10 +213,10 @@ class TestEngineCaching:
 class TestWorkerCounters:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_counters_merge_into_parent(self, jobs):
-        telemetry = Telemetry()
-        engine = TaskEngine(jobs=jobs, telemetry=telemetry)
+        obs = ObsContext()
+        engine = TaskEngine(jobs=jobs, obs=obs)
         engine.run([Task(f"c{i}", "test.counted", payload=i) for i in range(4)])
-        snapshot = telemetry.snapshot()
+        snapshot = obs.metrics.snapshot()
         assert snapshot.counter("widgets_made") == 0 + 1 + 2 + 3
         assert snapshot.counter("tasks_run") == 4
 

@@ -1,11 +1,14 @@
-"""The Telemetry shim over repro.obs: honest timers, worker merges."""
+"""Stage timing through repro.obs: honest nesting, worker merges, wiring."""
 
+import threading
 import time
 
+from repro.obs.context import ObsContext
+from repro.obs.metrics import Metrics
 from repro.obs.spans import Tracer
+from repro.obs.stages import record_stage, stage, stage_seconds, summary_line
 from repro.runtime.engine import Runtime, TaskEngine
 from repro.runtime.tasks import Task, TaskResult, task_function
-from repro.runtime.telemetry import Telemetry, TelemetrySnapshot
 
 
 @task_function("shim.sleepy")
@@ -14,107 +17,135 @@ def _sleepy(context, payload, deps):
     return TaskResult(payload)
 
 
+def _stages(obs):
+    return stage_seconds(obs.metrics.snapshot())
+
+
 class TestNestedTimerAccounting:
     def test_nested_stage_does_not_double_count(self):
-        telemetry = Telemetry()
-        with telemetry.timer("outer"):
-            with telemetry.timer("inner"):
+        obs = ObsContext()
+        with stage("outer", obs):
+            with stage("inner", obs):
                 time.sleep(0.02)
-        snap = telemetry.snapshot()
+        stages, top = _stages(obs)
         # Both stages are on record...
-        assert set(snap.timers_s) == {"outer", "inner"}
+        assert set(stages) == {"outer", "inner"}
         # ...but only the top-level one counts toward wall time.
-        assert set(snap.top_timers_s) == {"outer"}
-        assert snap.stage_time_s <= snap.timers_s["outer"] * 1.001
+        assert set(top) == {"outer"}
+        assert sum(top.values()) <= stages["outer"] * 1.001
 
     def test_summary_line_reports_top_level_only(self):
-        telemetry = Telemetry()
-        with telemetry.timer("outer"):
-            with telemetry.timer("inner"):
+        obs = ObsContext()
+        with stage("outer", obs):
+            with stage("inner", obs):
                 time.sleep(0.02)
-        line = telemetry.snapshot().summary_line()
+        line = summary_line(obs.metrics.snapshot())
         total = float(line.split("stage_time=")[1].rstrip("s"))
-        # Pre-fix this reported outer+inner (~2x the real wall time).
-        assert total < 1.5 * telemetry.snapshot().timers_s["outer"]
+        # Summing every level would report outer+inner (~2x the wall time).
+        assert total < 1.5 * _stages(obs)[0]["outer"]
 
     def test_summary_line_names_the_zero_timer_state(self):
-        # All-cache-hit runs record no stage timers; the summary must say
+        # All-cache-hit runs record no stage time; the summary must say
         # so explicitly instead of silently dropping the stage column.
-        line = Telemetry().snapshot().summary_line()
+        line = summary_line(Metrics().snapshot())
         assert "no stages recorded" in line
         assert "stage_time=" not in line
 
     def test_summary_line_keeps_stage_time_when_timers_exist(self):
-        telemetry = Telemetry()
-        with telemetry.timer("stage"):
+        obs = ObsContext()
+        with stage("stage", obs):
             pass
-        line = telemetry.snapshot().summary_line()
+        line = summary_line(obs.metrics.snapshot())
         assert "stage_time=" in line
         assert "no stages recorded" not in line
 
     def test_same_stage_reentered_at_top_accumulates(self):
-        telemetry = Telemetry()
+        obs = ObsContext()
         for _ in range(2):
-            with telemetry.timer("stage"):
+            with stage("stage", obs):
                 pass
-        snap = telemetry.snapshot()
-        assert snap.top_timers_s["stage"] == snap.timers_s["stage"]
+        stages, top = _stages(obs)
+        assert top["stage"] == stages["stage"]
 
-    def test_handbuilt_snapshot_falls_back_to_all_timers(self):
-        snap = TelemetrySnapshot(timers_s={"a": 1.0, "b": 2.0})
-        assert snap.stage_time_s == 3.0
+    def test_nesting_is_per_registry_and_per_thread(self):
+        obs, other = ObsContext(), ObsContext()
+
+        def side():
+            with stage("side", obs):
+                pass
+
+        with stage("outer", obs):
+            # Another run's stage, or this run's stage in another thread,
+            # does not nest under "outer".
+            with stage("elsewhere", other):
+                pass
+            thread = threading.Thread(target=side)
+            thread.start()
+            thread.join()
+        assert set(_stages(obs)[1]) == {"outer", "side"}
+        assert set(_stages(other)[1]) == {"elsewhere"}
 
     def test_timer_opens_span_on_bound_tracer(self):
-        telemetry = Telemetry(tracer=Tracer())
-        with telemetry.timer("stagework"):
+        obs = ObsContext(tracer=Tracer())
+        with stage("stagework", obs):
             pass
-        spans = telemetry.tracer.spans()
+        spans = obs.tracer.spans()
         assert [s.name for s in spans] == ["stagework"]
         assert spans[0].category == "stage"
 
 
 class TestMergeTimers:
     def test_merge_timers_accumulates_as_nested(self):
-        telemetry = Telemetry()
-        telemetry.merge_timers({"worker.sim": 0.5})
-        telemetry.merge_timers({"worker.sim": 0.25, "worker.cluster": 0.1})
-        snap = telemetry.snapshot()
-        assert snap.timers_s["worker.sim"] == 0.75
-        assert snap.timers_s["worker.cluster"] == 0.1
-        # Merged worker time elapses inside a parent stage: never top-level.
-        assert "worker.sim" not in snap.top_timers_s
-        assert snap.stage_time_s == 0.0
+        # A worker records its stage time in its own registry; the parent
+        # folds the dump in, and it stays nested: never top-level.
+        parent = Metrics()
+        reports = ({"worker.sim": 0.5}, {"worker.sim": 0.25, "worker.cluster": 0.1})
+        for timers in reports:
+            worker = Metrics()
+            for name, seconds in timers.items():
+                record_stage(worker, name, seconds)
+            parent.merge(worker.dump())
+        stages, top = stage_seconds(parent.snapshot())
+        assert stages["worker.sim"] == 0.75
+        assert stages["worker.cluster"] == 0.1
+        assert "worker.sim" not in top
+        assert sum(top.values()) == 0.0
 
     def test_engine_merges_worker_timers_serial_and_pool(self):
         for jobs in (1, 2):
-            telemetry = Telemetry()
-            engine = TaskEngine(jobs=jobs, telemetry=telemetry)
+            obs = ObsContext()
+            engine = TaskEngine(jobs=jobs, obs=obs)
             engine.run(
                 [Task(f"s{i}", "shim.sleepy", payload=0.01) for i in range(2)]
             )
-            snap = telemetry.snapshot()
-            assert snap.timers_s["worker.shim.sleepy"] >= 0.02, f"jobs={jobs}"
-            assert "worker.shim.sleepy" not in snap.top_timers_s
+            stages, top = _stages(obs)
+            assert stages["worker.shim.sleepy"] >= 0.02, f"jobs={jobs}"
+            assert "worker.shim.sleepy" not in top
 
     def test_report_marks_nested_stages(self):
-        telemetry = Telemetry()
-        with telemetry.timer("outer"):
-            with telemetry.timer("inner"):
+        obs = ObsContext()
+        with stage("outer", obs):
+            with stage("inner", obs):
                 pass
-        report = telemetry.report()
-        assert "top-level" in report
-        assert "nested" in report
+        series = {
+            dict(labels)["stage"]: dict(labels)["level"]
+            for name, labels in obs.metrics.snapshot().histograms
+        }
+        assert series == {"outer": "top", "inner": "nested"}
 
 
 class TestRuntimeWiring:
     def test_runtime_exposes_metrics_and_tracer(self):
-        runtime = Runtime(jobs=1, tracer=Tracer())
-        assert runtime.tracer is runtime.telemetry.tracer
-        assert runtime.metrics is runtime.telemetry.metrics
+        metrics, tracer = Metrics(), Tracer()
+        runtime = Runtime(jobs=1, metrics=metrics, tracer=tracer)
+        assert runtime.tracer is tracer is runtime.obs.tracer
+        assert runtime.metrics is metrics is runtime.obs.metrics
+        assert runtime.engine.obs is runtime.obs
 
     def test_labeled_counts_aggregate_in_snapshot(self):
-        telemetry = Telemetry()
-        telemetry.metrics.inc("frames_simulated", 3, phase="a")
-        telemetry.metrics.inc("frames_simulated", 4, phase="b")
-        assert telemetry.snapshot().counter("frames_simulated") == 7
-        assert telemetry.counter("frames_simulated") == 7
+        metrics = Metrics()
+        metrics.inc("frames_simulated", 3, phase="a")
+        metrics.inc("frames_simulated", 4, phase="b")
+        assert metrics.snapshot().counter_total("frames_simulated") == 7
+        assert metrics.counter_total("frames_simulated") == 7
+        assert "frames_simulated=7" in summary_line(metrics.snapshot())

@@ -40,7 +40,7 @@ class _Blocker:
         self.release = threading.Event()
         self.calls = 0
 
-    def __call__(self, spec, record, telemetry):
+    def __call__(self, spec, record, metrics):
         self.calls += 1
         self.entered.set()
         if not self.release.wait(timeout=10.0):

@@ -16,6 +16,7 @@ import pytest
 
 from repro.obs.context import ObsContext, activate_obs
 from repro.obs.metrics import Metrics
+from repro.obs.stages import stage_seconds
 from repro.runtime.keys import trace_digest
 from repro.simgpu import precomp_store
 from repro.simgpu.batch import (
@@ -285,11 +286,12 @@ class TestPrepublish:
         clear_precomp_cache()
         runtime = Runtime(jobs=2)
         runtime.simulate_frames_many(trace, [GpuConfig()])
-        published = runtime.telemetry.metrics.counter_total(
+        published = runtime.metrics.counter_total(
             "precomp_prepublished_frames"
         )
         assert published == trace.num_frames
-        assert "precomp_publish" in runtime.telemetry.snapshot().timers_s
+        stages, _ = stage_seconds(runtime.snapshot())
+        assert "precomp_publish" in stages
 
     def test_runtime_skips_prepublish_on_python_backend(
         self, tmp_path, monkeypatch, trace
@@ -306,7 +308,7 @@ class TestPrepublish:
         clear_precomp_cache()
         runtime = Runtime(jobs=2)
         runtime.simulate_frames_many(trace, [GpuConfig()])
-        published = runtime.telemetry.metrics.counter_total(
+        published = runtime.metrics.counter_total(
             "precomp_prepublished_frames"
         )
         assert published == 0
