@@ -31,7 +31,7 @@ from repro.core.predict import predict_time_ns, rep_times_from_draw_times
 from repro.core.subsetting import build_subset
 from repro.gfx.trace import Trace
 from repro.runtime.engine import Runtime
-from repro.simgpu.batch import simulate_frame_range_multi, simulate_trace_multi
+from repro.simgpu.batch import simulate_frame_range_multi
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.dvfs import DEFAULT_CLOCKS_MHZ
 from repro.synth.generator import generate_trace
@@ -593,23 +593,29 @@ def e8_baselines(
 def e9_cross_architecture_transfer(
     traces: Dict[str, Trace],
     presets: Sequence[str] = ("lowpower", "mainstream", "highend"),
+    runtime: Optional[Runtime] = None,
 ) -> ExperimentResult:
     """Subsets extracted once must hold on every candidate architecture.
 
     Because both reductions use only micro-architecture-independent
     information, the subset is a property of the *workload*, not of any
     GPU.  This experiment extracts each game's subset once and scores its
-    total-time estimate on each preset.
+    total-time estimate on each preset.  Parent and subset each simulate
+    all presets in one multi-config pass through ``runtime``.
     """
+    if runtime is None:
+        runtime = Runtime.serial()
     configs = [GpuConfig.preset(preset) for preset in presets]
     rows = []
     for name, trace in traces.items():
         subset = build_subset(trace)
-        parents = simulate_trace_multi(trace, configs)
-        subsets = simulate_trace_multi(subset.materialize(trace), configs)
+        parents = runtime.simulate_frames_many(trace, configs)
+        subsets = runtime.simulate_frames_many(subset.materialize(trace), configs)
         for preset, parent, result in zip(presets, parents, subsets):
-            actual = parent.total_time_ns
-            estimate = subset.estimate_total_time_ns(result.frame_times_ns)
+            actual = sum(out.time_ns for out in parent)
+            estimate = subset.estimate_total_time_ns(
+                [out.time_ns for out in result]
+            )
             rows.append(
                 (
                     name,
@@ -642,6 +648,7 @@ def e10_phase_signal_stability(
     config_b: Optional[GpuConfig] = None,
     interval_length: int = 4,
     tolerance: float = 0.10,
+    runtime: Optional[Runtime] = None,
 ) -> ExperimentResult:
     """Why shader vectors and not measured performance?
 
@@ -668,10 +675,10 @@ def e10_phase_signal_stability(
             tolerance=tolerance,
         )
         perf_a = detect_phases_from_performance(
-            pass_time_matrix(trace, config_a), interval_length, tolerance
+            pass_time_matrix(trace, config_a, runtime), interval_length, tolerance
         )
         perf_b = detect_phases_from_performance(
-            pass_time_matrix(trace, config_b), interval_length, tolerance
+            pass_time_matrix(trace, config_b, runtime), interval_length, tolerance
         )
         perf_agreement = cross_architecture_agreement(perf_a, perf_b)
         rows.append(

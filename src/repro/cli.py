@@ -1026,8 +1026,12 @@ def _cmd_experiment(args) -> int:
             "e6": lambda: experiments.e6_frequency_correlation(
                 traces, config, runtime=runtime
             ),
-            "e9": lambda: experiments.e9_cross_architecture_transfer(traces),
-            "e10": lambda: experiments.e10_phase_signal_stability(traces),
+            "e9": lambda: experiments.e9_cross_architecture_transfer(
+                traces, runtime=runtime
+            ),
+            "e10": lambda: experiments.e10_phase_signal_stability(
+                traces, runtime=runtime
+            ),
         }[experiment_id]
         print(runner().render())
         print(summary_line(runtime.snapshot()))

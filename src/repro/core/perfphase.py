@@ -20,18 +20,23 @@ import numpy as np
 from repro.core.shadervector import partition_intervals
 from repro.errors import PhaseDetectionError
 from repro.gfx.trace import Trace
-from repro.simgpu.batch import simulate_frame_range_multi
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 
 
-def pass_time_matrix(trace: Trace, config: GpuConfig) -> np.ndarray:
+def pass_time_matrix(
+    trace: Trace, config: GpuConfig, runtime: Optional[Runtime] = None
+) -> np.ndarray:
     """(num_frames, num_pass_types) matrix of per-pass times on ``config``.
 
     The per-pass breakdown is the performance analog of a shader vector:
     it captures *where* the frame's time goes on this architecture.
-    Columns are ordered by sorted pass-type name.
+    Columns are ordered by sorted pass-type name.  The simulation runs
+    through ``runtime`` (serial and uncached by default).
     """
-    (outputs,) = simulate_frame_range_multi(trace, [config], 0, trace.num_frames)
+    if runtime is None:
+        runtime = Runtime.serial()
+    outputs = runtime.simulate_frames(trace, config)
     pass_names = sorted({name for out in outputs for name in out.pass_times_ns})
     column = {name: j for j, name in enumerate(pass_names)}
     matrix = np.zeros((len(outputs), len(pass_names)))

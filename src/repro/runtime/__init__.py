@@ -1,19 +1,19 @@
 """Parallel execution engine with a content-addressed artifact cache.
 
-Pathfinding is an embarrassingly parallel job graph — hundreds of frames
-times dozens of candidate architectures — whose artifacts are reused for
+Pathfinding is embarrassingly parallel — hundreds of frames times
+dozens of candidate architectures — and its artifacts are reused for
 months.  This subsystem supplies the execution layer the rest of the
 library runs on:
 
-- :class:`~repro.runtime.engine.TaskEngine` — dependency-aware task
-  graphs on a process pool, with a serial ``jobs=1`` fallback that is
+- :class:`~repro.runtime.engine.TaskEngine` — independent frame-range
+  tasks on a process pool, with a serial ``jobs=1`` fallback that is
   bit-identical to the historical code paths;
 - :class:`~repro.runtime.cache.ArtifactCache` — results keyed by a
   stable digest of (trace content, GPU config, algorithm parameters,
   format version), persisted on disk so re-runs and interrupted sweeps
   skip completed work;
 - :class:`~repro.runtime.engine.Runtime` — the facade the pipeline,
-  suite, sweep, and CLI layers accept as ``runtime=``.  Its
+  experiment, sweep, and CLI layers accept as ``runtime=``.  Its
   ``metrics`` (a :class:`~repro.obs.metrics.Metrics` registry) and
   ``tracer`` are the run's one telemetry API: counters (tasks run,
   cache hits/misses, frames simulated), histograms, and stage time

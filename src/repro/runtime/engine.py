@@ -1,12 +1,12 @@
-"""Dependency-aware task engine and the user-facing :class:`Runtime`.
+"""Task engine and the user-facing :class:`Runtime`.
 
-The engine executes a task graph either inline (``jobs=1`` — the serial
-fallback, bit-identical to the pre-runtime code paths) or on a
-``ProcessPoolExecutor``.  The run's shared ``context`` (typically the
-trace) ships to each worker once via the pool initializer instead of
-once per task; per-task child seeds come from
-:func:`repro.util.rng.spawn_worker_seed`, so results never depend on
-worker count or completion order.
+The engine executes a list of independent tasks (contiguous frame
+ranges) either inline (``jobs=1`` — the serial fallback, bit-identical
+to the pre-runtime code paths) or on a ``ProcessPoolExecutor``.  The
+run's shared ``context`` (typically the trace) ships to each worker
+once via the pool initializer instead of once per task; per-task child
+seeds come from :func:`repro.util.rng.spawn_worker_seed`, so results
+never depend on worker count or completion order.
 
 Observability rides the same rails: each task runs under an ambient
 :class:`~repro.obs.context.ObsContext` and inside a ``task:<kind>``
@@ -20,8 +20,8 @@ parent captured at submit time — and ship spans and a metrics dump
 :class:`Runtime` bundles an engine, a content-addressed
 :class:`~repro.runtime.cache.ArtifactCache`, and the run's
 :class:`~repro.obs.context.ObsContext` (metrics registry plus tracer)
-into the object the pipeline, suite, sweep, and CLI layers thread
-through.
+into the object the pipeline, experiment, sweep, and CLI layers
+thread through.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ if TYPE_CHECKING:
     from repro.simgpu.config import GpuConfig
     from repro.simgpu.simulator import TraceResult
 
-#: Anything the engine can consult for artifacts: the real store or the
-#: inert default.  (A Protocol would be overkill for two shapes.)
-CacheLike = Union[ArtifactCache, NullCache]
-
 _WORKER_CONTEXT: Any = None
 
 
@@ -65,11 +61,7 @@ def _init_worker(context: Any) -> None:
 
 
 def _run_task(
-    context: Any,
-    kind: str,
-    payload: Any,
-    dep_values: Dict[str, Any],
-    seed: Optional[int],
+    context: Any, kind: str, payload: Any, seed: Optional[int]
 ) -> TaskResult:
     """Execute one task body (same code inline and in workers)."""
     if seed is not None:
@@ -77,7 +69,7 @@ def _run_task(
         # task is reproducible per task identity, not per worker schedule.
         np.random.seed(seed % 2**32)
     fn = resolve_task_function(kind)
-    result = fn(context, payload, dep_values)
+    result = fn(context, payload)
     if not isinstance(result, TaskResult):
         result = TaskResult(result)
     return result
@@ -88,15 +80,13 @@ def _execute_in_worker(blob: bytes) -> TaskResult:
     # submit so an unpicklable payload raises there, synchronously, instead
     # of poisoning the executor's feeder thread (which deadlocks
     # ``shutdown(wait=True)`` on CPython 3.11).
-    kind, payload, dep_values, seed, task_id, parent_span_id, trace_on = (
-        pickle.loads(blob)
-    )
+    kind, payload, seed, task_id, parent_span_id, trace_on = pickle.loads(blob)
     tracer = Tracer(root_parent_id=parent_span_id) if trace_on else NULL_TRACER
     metrics = Metrics()
     start = time.perf_counter()
     with activate_obs(ObsContext(tracer=tracer, metrics=metrics)):
         with tracer.span(f"task:{kind}", category="task", task_id=task_id):
-            result = _run_task(_WORKER_CONTEXT, kind, payload, dep_values, seed)
+            result = _run_task(_WORKER_CONTEXT, kind, payload, seed)
     elapsed = time.perf_counter() - start
     metrics.observe("task_wall_s", elapsed, worker=str(os.getpid()))
     record_stage(metrics, f"worker.{kind}", elapsed)
@@ -105,45 +95,11 @@ def _execute_in_worker(blob: bytes) -> TaskResult:
     )
 
 
-def _topological_order(tasks: Sequence[Task]) -> List[Task]:
-    """Kahn's algorithm, stable with respect to submission order."""
-    by_id: Dict[str, Task] = {}
-    for task in tasks:
-        if task.task_id in by_id:
-            raise ConfigError(f"duplicate task id {task.task_id!r}")
-        by_id[task.task_id] = task
-    children: Dict[str, List[str]] = {task.task_id: [] for task in tasks}
-    blocked_by: Dict[str, int] = {}
-    for task in tasks:
-        for dep in task.deps:
-            if dep not in by_id:
-                raise ConfigError(
-                    f"task {task.task_id!r} depends on unknown task {dep!r}"
-                )
-            children[dep].append(task.task_id)
-        blocked_by[task.task_id] = len(task.deps)
-    ready = [task for task in tasks if blocked_by[task.task_id] == 0]
-    order: List[Task] = []
-    cursor = 0
-    while cursor < len(ready):
-        task = ready[cursor]
-        cursor += 1
-        order.append(task)
-        for child_id in children[task.task_id]:
-            blocked_by[child_id] -= 1
-            if blocked_by[child_id] == 0:
-                ready.append(by_id[child_id])
-    if len(order) != len(tasks):
-        stuck = sorted(tid for tid, n in blocked_by.items() if n > 0)
-        raise ConfigError(f"task graph has a dependency cycle involving {stuck}")
-    return order
-
-
 class TaskEngine:
-    """Executes task graphs serially or on a process pool.
+    """Executes a list of independent tasks serially or on a process pool.
 
-    ``jobs=1`` runs every task inline in topological submission order —
-    no subprocesses, no pickling — and is the reference behavior the
+    ``jobs=1`` runs every task inline in submission order — no
+    subprocesses, no pickling — and is the reference behavior the
     parallel path must reproduce exactly (results, counters, and span
     counts alike).
     """
@@ -151,14 +107,12 @@ class TaskEngine:
     def __init__(
         self,
         jobs: int = 1,
-        cache: Optional[CacheLike] = None,
         obs: Optional[ObsContext] = None,
         progress: Optional[Union[ProgressReporter, NullProgress]] = None,
     ) -> None:
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise ConfigError(f"jobs must be an int >= 1, got {jobs!r}")
         self.jobs = jobs
-        self.cache = cache if cache is not None else NullCache()
         self.obs = obs if obs is not None else ObsContext()
         self.progress = progress if progress is not None else NULL_PROGRESS
 
@@ -169,36 +123,28 @@ class TaskEngine:
     ) -> Dict[str, Any]:
         """Execute ``tasks`` and return ``{task_id: value}``.
 
-        Cached tasks (``cache_key`` set, entry present) are resolved
-        without executing — or submitting — anything.  A task exception
-        propagates to the caller with its original type; remaining tasks
-        are cancelled.
+        A task exception propagates to the caller with its original
+        type; remaining tasks are cancelled.
         """
-        order = _topological_order(tasks)
+        seen: set = set()
+        for task in tasks:
+            if task.task_id in seen:
+                raise ConfigError(f"duplicate task id {task.task_id!r}")
+            seen.add(task.task_id)
         results: Dict[str, Any] = {}
-        pending: List[Task] = []
-        for task in order:
-            if task.cache_key is not None:
-                hit = self.cache.get(task.cache_key)
-                if hit is not CACHE_MISS:
-                    results[task.task_id] = hit
-                    self.obs.metrics.inc("tasks_from_cache")
-                    continue
-            pending.append(task)
-        if not pending:
+        if not tasks:
             return results
-        self.progress.begin(len(pending))
-        if self.jobs == 1 or len(pending) == 1:
-            # A one-task graph gains nothing from a pool: spinning up a
-            # worker process costs orders of magnitude more than the
-            # inline dispatch, and the inline path is the reference
-            # behavior anyway.
-            self._run_serial(pending, context, results)
+        total = len(tasks)
+        self.progress.begin(total)
+        if self.jobs == 1 or total == 1:
+            # One task gains nothing from a pool: spinning up a worker
+            # process costs orders of magnitude more than the inline
+            # dispatch, and the inline path is the reference behavior
+            # anyway.
+            self._run_serial(tasks, context, results)
         else:
-            self._run_pool(pending, context, results)
-        self.progress.finish(
-            len(pending), len(pending), self._frames_simulated()
-        )
+            self._run_pool(tasks, context, results)
+        self.progress.finish(total, total, self._frames_simulated())
         return results
 
     def _frames_simulated(self) -> int:
@@ -209,27 +155,21 @@ class TaskEngine:
         self.obs.metrics.inc("tasks_run")
         self.obs.metrics.merge(result.metrics)
         self.obs.tracer.merge(result.spans)
-        if task.cache_key is not None:
-            self.cache.put(task.cache_key, result.value)
-
-    def _dep_values(self, task: Task, results: Dict[str, Any]) -> Dict[str, Any]:
-        return {dep: results[dep] for dep in task.deps}
 
     def _run_serial(
-        self, pending: List[Task], context: Any, results: Dict[str, Any]
+        self, tasks: Sequence[Task], context: Any, results: Dict[str, Any]
     ) -> None:
         metrics, tracer = self.obs.metrics, self.obs.tracer
-        total = len(pending)
+        total = len(tasks)
         with activate_obs(self.obs):
-            for done, task in enumerate(pending, start=1):
+            for done, task in enumerate(tasks, start=1):
                 start = time.perf_counter()
                 try:
                     with tracer.span(
                         f"task:{task.kind}", category="task", task_id=task.task_id
                     ):
                         result = _run_task(
-                            context, task.kind, task.payload,
-                            self._dep_values(task, results), task.seed,
+                            context, task.kind, task.payload, task.seed
                         )
                 except Exception:
                     metrics.inc("tasks_failed")
@@ -241,45 +181,34 @@ class TaskEngine:
                 self.progress.task_done(done, total, self._frames_simulated())
 
     def _run_pool(
-        self, pending: List[Task], context: Any, results: Dict[str, Any]
+        self, tasks: Sequence[Task], context: Any, results: Dict[str, Any]
     ) -> None:
-        children: Dict[str, List[Task]] = {}
-        blocked_by: Dict[str, int] = {}
-        for task in pending:
-            # Deps already satisfied from cache don't block execution.
-            open_deps = [dep for dep in task.deps if dep not in results]
-            blocked_by[task.task_id] = len(open_deps)
-            for dep in open_deps:
-                children.setdefault(dep, []).append(task)
-        ready = [task for task in pending if blocked_by[task.task_id] == 0]
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(pending)),
-            initializer=_init_worker,
-            initargs=(context,),
-        )
-        futures: Dict[Future[TaskResult], Task] = {}
         tracer = self.obs.tracer
-
-        def submit(task: Task) -> None:
+        blobs = []
+        for task in tasks:
             try:
-                blob = pickle.dumps(
-                    (task.kind, task.payload,
-                     self._dep_values(task, results), task.seed,
-                     task.task_id, tracer.current_span_id(), tracer.enabled)
-                )
+                blobs.append(pickle.dumps(
+                    (task.kind, task.payload, task.seed, task.task_id,
+                     tracer.current_span_id(), tracer.enabled)
+                ))
             except Exception as exc:
                 raise ConfigError(
                     f"task {task.task_id!r} payload cannot be sent to a "
                     f"worker process: {exc}"
                 ) from exc
-            futures[pool.submit(_execute_in_worker, blob)] = task
-
-        total = len(pending)
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(tasks)),
+            initializer=_init_worker,
+            initargs=(context,),
+        )
+        total = len(tasks)
         finished = 0
         heartbeat_s = self.progress.heartbeat_interval_s
         try:
-            for task in ready:
-                submit(task)
+            futures: Dict[Future[TaskResult], Task] = {
+                pool.submit(_execute_in_worker, blob): task
+                for task, blob in zip(tasks, blobs)
+            }
             while futures:
                 done, _ = wait(
                     set(futures),
@@ -305,10 +234,6 @@ class TaskEngine:
                     self.progress.task_done(
                         finished, total, self._frames_simulated()
                     )
-                    for child in children.get(task.task_id, ()):
-                        blocked_by[child.task_id] -= 1
-                        if blocked_by[child.task_id] == 0:
-                            submit(child)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -344,12 +269,11 @@ class Runtime:
     bit-identical to the historical serial code paths.  ``jobs=N`` adds
     process-pool parallelism; ``jobs="auto"`` sizes the pool to the host
     CPU count *and* falls back to inline execution for workloads smaller
-    than ``serial_cutoff`` frames, where pool startup and pickling cost
-    more than the simulation itself (results are identical either way —
-    only the execution strategy adapts).  ``cache_dir=...`` (or a
-    prebuilt ``cache``) adds the content-addressed artifact store, so
-    repeated experiments and interrupted sweeps skip every
-    already-computed simulation.
+    than :attr:`SERIAL_CUTOFF` frames, where pool startup and pickling
+    cost more than the simulation itself (results are identical either
+    way — only the execution strategy adapts).  ``cache_dir=...`` adds
+    the content-addressed artifact store, so repeated experiments and
+    interrupted sweeps skip every already-computed simulation.
 
     ``tracer=Tracer()`` enables hierarchical span tracing; the default
     :data:`~repro.obs.spans.NULL_TRACER` makes every span a no-op.
@@ -360,60 +284,38 @@ class Runtime:
     #: Below this many work items, ``jobs="auto"`` runs inline: on traces
     #: this small the process pool's startup + serialization overhead
     #: exceeds the simulation work (measured in BENCH_runtime.json).
-    DEFAULT_SERIAL_CUTOFF = 32
+    SERIAL_CUTOFF = 32
+
+    #: Frame-range tasks per worker process: two keeps a pool busy when
+    #: chunks finish unevenly without multiplying per-task overhead.
+    CHUNKS_PER_JOB = 2
+
+    #: Base of every per-task seed (see :func:`spawn_worker_seed`);
+    #: clustering params that carry their own ``seed`` override it.
+    SEED = 0
 
     def __init__(
         self,
         jobs: Union[int, str] = 1,
-        cache: Optional[CacheLike] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         metrics: Optional[Metrics] = None,
         tracer: Optional[object] = None,
-        seed: int = 0,
-        chunks_per_job: int = 2,
-        serial_cutoff: Optional[int] = None,
         progress: Optional[Union[ProgressReporter, NullProgress]] = None,
     ) -> None:
-        if cache is not None and cache_dir is not None:
-            raise ConfigError("pass either cache or cache_dir, not both")
-        if not isinstance(chunks_per_job, int) or chunks_per_job < 1:
-            raise ConfigError(
-                f"chunks_per_job must be an int >= 1, got {chunks_per_job!r}"
-            )
-        if serial_cutoff is not None and (
-            not isinstance(serial_cutoff, int)
-            or isinstance(serial_cutoff, bool)
-            or serial_cutoff < 0
-        ):
-            raise ConfigError(
-                f"serial_cutoff must be an int >= 0, got {serial_cutoff!r}"
-            )
         self.adaptive = jobs == "auto"
         if self.adaptive:
             jobs = os.cpu_count() or 1
-        self.serial_cutoff = (
-            serial_cutoff if serial_cutoff is not None
-            else self.DEFAULT_SERIAL_CUTOFF
-        )
         self.obs = ObsContext(
             tracer=tracer if tracer is not None else NULL_TRACER,
             metrics=metrics if metrics is not None else Metrics(),
         )
-        if cache is None:
-            cache = (
-                ArtifactCache(cache_dir, metrics=self.metrics)
-                if cache_dir is not None
-                else NullCache()
-            )
-        if isinstance(cache, ArtifactCache) and cache.metrics is None:
-            cache.metrics = self.metrics
-        self.cache = cache
-        self.seed = seed
-        self.chunks_per_job = chunks_per_job
-        self.progress = progress if progress is not None else NULL_PROGRESS
-        self.engine = TaskEngine(
-            jobs=jobs, cache=cache, obs=self.obs, progress=self.progress,
+        self.cache: Union[ArtifactCache, NullCache] = (
+            ArtifactCache(cache_dir, metrics=self.metrics)
+            if cache_dir is not None
+            else NullCache()
         )
+        self.progress = progress if progress is not None else NULL_PROGRESS
+        self.engine = TaskEngine(jobs=jobs, obs=self.obs, progress=self.progress)
 
     @property
     def jobs(self) -> int:
@@ -440,21 +342,21 @@ class Runtime:
         """Work partition for ``num_items`` frames under this runtime.
 
         ``jobs="auto"`` runtimes return a single range for workloads
-        under ``serial_cutoff`` (the engine runs one-task graphs inline,
-        so small traces never touch the pool) and floor the chunk size
+        under :attr:`SERIAL_CUTOFF` (the engine runs a single task
+        inline, so small traces never touch the pool) and floor the chunk size
         for everything else; explicit ``jobs=N`` keeps the historical
         fixed partition.
         """
         if self.jobs == 1:
             return [(0, num_items)]
         if self.adaptive:
-            if num_items < self.serial_cutoff:
+            if num_items < self.SERIAL_CUTOFF:
                 return [(0, num_items)]
-            min_items = max(1, self.serial_cutoff // 4)
+            min_items = max(1, self.SERIAL_CUTOFF // 4)
             return _chunk_ranges(
-                num_items, self.jobs * self.chunks_per_job, min_items=min_items
+                num_items, self.jobs * self.CHUNKS_PER_JOB, min_items=min_items
             )
-        return _chunk_ranges(num_items, self.jobs * self.chunks_per_job)
+        return _chunk_ranges(num_items, self.jobs * self.CHUNKS_PER_JOB)
 
     # -- simulation --------------------------------------------------------
 
@@ -467,9 +369,9 @@ class Runtime:
         """Per-frame outputs of ``trace`` on every config, cache-first.
 
         One artifact per (trace content, config) pair; configs missing
-        from the cache are simulated together in one task graph so each
-        chunk computes the order-dependent context arrays once per
-        distinct context signature (the DVFS-sweep sharing the serial
+        from the cache are simulated together, one task per frame range,
+        so each chunk computes the order-dependent context arrays once
+        per distinct context signature (the DVFS-sweep sharing the serial
         batch path has always had).  ``label`` names the stage timer,
         the trace span, and the ``frames_simulated{phase=...}`` label.
         """
@@ -499,7 +401,7 @@ class Runtime:
                     kind="simulate_frame_range",
                     payload=(need_configs, start, stop, label),
                     seed=spawn_worker_seed(
-                        self.seed, "simulate_frame_range", start, stop
+                        self.SEED, "simulate_frame_range", start, stop
                     ),
                 )
                 for start, stop in ranges
@@ -582,7 +484,7 @@ class Runtime:
             return list(hit)
         base_seed = params.get("seed")
         if not isinstance(base_seed, int) or isinstance(base_seed, bool):
-            base_seed = self.seed
+            base_seed = self.SEED
         payload_params = tuple(sorted(params.items()))
         ranges = self._ranges(trace.num_frames)
         tasks = [

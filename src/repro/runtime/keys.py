@@ -65,11 +65,6 @@ TASK_FIELD_KEYING: Mapping[str, str] = {
         "building call sites (Runtime.simulate_frames_many / "
         "cluster_frames pass every payload component to task_key)"
     ),
-    "deps": (
-        "dependency values are keyed by their own task keys; the id "
-        "list itself is graph wiring, not an input"
-    ),
-    "cache_key": "is the key — self-referential by construction",
     "seed": (
         "derived from (run seed, kind, frame range) by spawn_worker_seed; "
         "the run seed participates via params at the call sites"

@@ -1,12 +1,11 @@
 """Task vocabulary for the runtime engine.
 
-A :class:`Task` is one unit of pipeline work: simulate a range of
-frames, cluster a range of frames, or call an arbitrary function.  Task
-*functions* are module-level (so worker processes can resolve them by
-kind name after a fork/spawn) and registered in :data:`TASK_FUNCTIONS`;
-they receive the run's shared ``context`` (shipped once per worker, not
-once per task — the trace is the heavy part), their payload, and the
-results of their dependencies, and return their value (optionally
+A :class:`Task` is one unit of pipeline work: simulate or cluster a
+range of frames.  Task *functions* are module-level (so worker
+processes can resolve them by kind name after a fork/spawn) and
+registered in :data:`TASK_FUNCTIONS`; they receive the run's shared
+``context`` (shipped once per worker, not once per task — the trace is
+the heavy part) and their payload, and return their value (optionally
 wrapped in a :class:`TaskResult`).
 
 Task bodies run under an ambient :class:`repro.obs.ObsContext`: the
@@ -42,25 +41,21 @@ class TaskResult:
 
 @dataclass(frozen=True)
 class Task:
-    """One node of a dependency-aware task graph.
+    """One independent unit of work for the task engine.
 
     ``seed``, when set, seeds numpy's legacy global RNG in the worker
     before the task body runs (derive it with
     :func:`repro.util.rng.spawn_worker_seed` so it depends on the task's
-    identity, never on scheduling).  ``cache_key`` marks the task's
-    result as a content-addressed artifact: the engine consults the
-    cache before running it and persists the value afterwards.
+    identity, never on scheduling).
     """
 
     task_id: str
     kind: str
     payload: Any = None
-    deps: Tuple[str, ...] = ()
-    cache_key: Optional[str] = None
     seed: Optional[int] = None
 
 
-TaskFunction = Callable[[Any, Any, Dict[str, Any]], TaskResult]
+TaskFunction = Callable[[Any, Any], Any]
 
 TASK_FUNCTIONS: Dict[str, TaskFunction] = {}
 
@@ -98,24 +93,8 @@ def resolve_task_function(kind: str) -> TaskFunction:
 # ---------------------------------------------------------------------------
 
 
-@task_function("call")
-def _call(context: Any, payload: Any, deps: Dict[str, Any]) -> TaskResult:
-    """Generic escape hatch: ``payload = (fn, args)``, returns ``fn(*args)``."""
-    fn, args = payload
-    return TaskResult(fn(*args))
-
-
-@task_function("call_with_deps")
-def _call_with_deps(context: Any, payload: Any, deps: Dict[str, Any]) -> TaskResult:
-    """Like ``call`` but passes the dependency results as ``fn(deps, *args)``."""
-    fn, args = payload
-    return TaskResult(fn(deps, *args))
-
-
 @task_function("simulate_frame_range")
-def _simulate_frame_range(
-    context: Any, payload: Any, deps: Dict[str, Any]
-) -> TaskResult:
+def _simulate_frame_range(context: Any, payload: Any) -> TaskResult:
     """Simulate frames ``[start, stop)`` of the context trace on N configs.
 
     All configs are evaluated in one task so the order-dependent context
@@ -140,9 +119,7 @@ def _simulate_frame_range(
 
 
 @task_function("cluster_frame_range")
-def _cluster_frame_range(
-    context: Any, payload: Any, deps: Dict[str, Any]
-) -> TaskResult:
+def _cluster_frame_range(context: Any, payload: Any) -> TaskResult:
     """Cluster frames ``[start, stop)`` of the context trace.
 
     Records ``frames_clustered`` and the cluster-count and cluster-size

@@ -49,6 +49,10 @@ class _BodyTooLarge(Exception):
     """The request declared a body longer than :data:`MAX_BODY_BYTES`."""
 
 
+class _BadContentLength(Exception):
+    """The ``Content-Length`` header is not a non-negative decimal integer."""
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Thin translation layer; the bound ``app`` does the work."""
 
@@ -63,8 +67,13 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _read_body(self) -> Optional[bytes]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        # int() alone would also take "-1", "+5", "1_000" and non-ASCII
+        # digits; the header grammar is 1*DIGIT.
+        if not (raw.isascii() and raw.isdigit()):
+            raise _BadContentLength(raw)
+        length = int(raw)
+        if length == 0:
             return None
         if length > MAX_BODY_BYTES:
             raise _BodyTooLarge(length)
@@ -77,6 +86,12 @@ class _Handler(BaseHTTPRequestHandler):
             if not chunk:
                 break
             remaining -= len(chunk)
+
+    def _refuse(self, status: int, message: str) -> None:
+        self.close_connection = True
+        self._write(
+            Response(status, {"error": message}, headers={"Connection": "close"})
+        )
 
     def _write(self, response: Response) -> None:
         payload = response.body_bytes()
@@ -93,14 +108,12 @@ class _Handler(BaseHTTPRequestHandler):
             body = self._read_body()
         except _BodyTooLarge as exc:
             self._discard_body(exc.args[0])
-            self.close_connection = True
-            self._write(
-                Response(
-                    413,
-                    {"error": "request body too large"},
-                    headers={"Connection": "close"},
-                )
-            )
+            self._refuse(413, "request body too large")
+            return
+        except _BadContentLength:
+            # The body's extent is unknown, so nothing after the headers
+            # can be trusted: answer and close without reading it.
+            self._refuse(400, "Content-Length must be a non-negative integer")
             return
         self._write(self.server.app.handle(method, self.path, body))
 

@@ -1,4 +1,4 @@
-"""Tests for the canned experiment runners E1-E8."""
+"""Tests for the canned experiment runners E1-E10."""
 
 import math
 
@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import experiments as ex
 from repro.analysis.report import ExperimentResult
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import TraceGenerator
 from repro.synth.phasescript import PhaseScript, Segment, SegmentKind
@@ -144,6 +145,28 @@ class TestE8:
         methods = result.column("method")
         assert any("phase subset" in m for m in methods)
         assert any("simpoint" in m for m in methods)
+
+
+class TestE9E10ThroughRuntime:
+    def test_e9_warm_cache_rerun_simulates_nothing(self, tiny_corpus, tmp_path):
+        reference = ex.e9_cross_architecture_transfer(tiny_corpus)
+
+        cold_runtime = Runtime(cache_dir=tmp_path)
+        cold = ex.e9_cross_architecture_transfer(tiny_corpus, runtime=cold_runtime)
+        assert cold_runtime.snapshot().counter_total("frames_simulated") > 0
+
+        warm_runtime = Runtime(cache_dir=tmp_path)
+        warm = ex.e9_cross_architecture_transfer(tiny_corpus, runtime=warm_runtime)
+        assert warm_runtime.snapshot().counter_total("frames_simulated") == 0
+        assert cold.rows == reference.rows
+        assert warm.rows == reference.rows
+
+    def test_e10_simulates_through_the_runtime(self, tiny_corpus):
+        reference = ex.e10_phase_signal_stability(tiny_corpus)
+        runtime = Runtime(jobs=2)
+        result = ex.e10_phase_signal_stability(tiny_corpus, runtime=runtime)
+        assert result.rows == reference.rows
+        assert runtime.snapshot().counter_total("frames_simulated") > 0
 
 
 class TestReport:

@@ -12,7 +12,7 @@ from repro.runtime.tasks import Task, TaskResult, task_function
 
 
 @task_function("progress.noop")
-def _noop(context, payload, deps):
+def _noop(context, payload):
     current_obs().metrics.inc("frames_simulated", int(payload))
     return TaskResult(payload)
 

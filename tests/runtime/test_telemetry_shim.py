@@ -12,7 +12,7 @@ from repro.runtime.tasks import Task, TaskResult, task_function
 
 
 @task_function("shim.sleepy")
-def _sleepy(context, payload, deps):
+def _sleepy(context, payload):
     time.sleep(payload)
     return TaskResult(payload)
 

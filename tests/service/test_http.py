@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 
 import pytest
@@ -101,6 +102,28 @@ def test_body_that_spells_the_old_sentinel_is_not_413(server):
         urllib.request.urlopen(request, timeout=30.0)
     assert info.value.code != 413
     assert 400 <= info.value.code < 500
+
+
+@pytest.mark.parametrize("length", ["abc", "1e3", "-5", "1_000"])
+def test_non_integer_content_length_is_a_400_and_closes(server, length):
+    host, port = server.server_address[:2]
+    request = (
+        f"POST /v1/jobs HTTP/1.1\r\nHost: {host}\r\n"
+        f"Content-Length: {length}\r\n\r\n{{}}"
+    ).encode("ascii")
+    with socket.create_connection((host, port), timeout=30.0) as sock:
+        sock.sendall(request)
+        received = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:  # the server closed the connection
+                break
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    assert lines[0].split()[1] == "400"
+    assert "connection: close" in [line.lower() for line in lines[1:]]
+    assert "Content-Length" in json.loads(body)["error"]
 
 def test_jobs_cli_against_live_server(server, capsys):
     url = server.url

@@ -155,17 +155,6 @@ class TestFormatRoundTrips:
         back = read_trace_binary(buffer)
         assert back.frames == trace.frames
 
-    @settings(max_examples=20, deadline=None)
-    @given(frame_lists)
-    def test_command_stream_preserves_draw_sequence(self, draw_lists):
-        from repro.gfx.commandstream import frames_to_commands, interpret_commands
-
-        trace = make_world(draw_lists)
-        back = interpret_commands(frames_to_commands(trace.frames))
-        original = [d for f in trace.frames for d in f.draws()]
-        rebuilt = [d for f in back for d in f.draws()]
-        assert rebuilt == original
-
 
 class TestQuantizeMonotone:
     @given(

@@ -13,10 +13,7 @@ PUBLIC_MODULES = [
     "repro.util",
     "repro.util.charts",
     "repro.gfx",
-    "repro.gfx.commands",
-    "repro.gfx.commandstream",
     "repro.gfx.tracebin",
-    "repro.gfx.transforms",
     "repro.synth",
     "repro.simgpu",
     "repro.simgpu.batch",
@@ -24,7 +21,6 @@ PUBLIC_MODULES = [
     "repro.core",
     "repro.core.calibrate",
     "repro.core.incremental",
-    "repro.core.online",
     "repro.core.perfphase",
     "repro.core.subsetio",
     "repro.runtime",
@@ -35,7 +31,6 @@ PUBLIC_MODULES = [
     "repro.baselines",
     "repro.analysis",
     "repro.analysis.experiments",
-    "repro.analysis.suite",
     "repro.analysis.validation",
 ]
 
